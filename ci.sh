@@ -113,6 +113,20 @@ grep '"rt_recovery"' BENCH_rt_recovery.json > /dev/null
 grep '"workers":4' BENCH_rt_recovery.json > /dev/null
 rm -rf /tmp/ci_rtrec_wal
 
+echo "==> perfbench recovery smoke: crash_recover on the threaded engine"
+# Recovers a 256-page, 64k-update threaded log and checks every
+# recovered page byte-equal to its pre-crash image; the traced run
+# also plants three faults and must catch each one. Wall-clock figures
+# are not checked here — BENCHMARK.json's runs compare those.
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload crash_recover --seed 1 --seconds 2 --trace 1 > /tmp/ci_perfbench.txt
+grep '"correct": true' /tmp/ci_perfbench.txt > /dev/null
+grep '"failed": 0' /tmp/ci_perfbench.txt > /dev/null
+grep 'self-test: plan dropped from the tally: caught' /tmp/ci_perfbench.txt > /dev/null
+grep 'self-test: byte flipped in a recovered page: caught' /tmp/ci_perfbench.txt > /dev/null
+grep 'self-test: out-of-order replay hop injected: caught' /tmp/ci_perfbench.txt > /dev/null
+rm -f /tmp/ci_perfbench.txt
+
 echo "==> crash-point model checker: bounded CI budget"
 # Exhaustively enumerates the CI space (crash points x victim sets x
 # torn-tail landings x recovery interruptions x one-step message

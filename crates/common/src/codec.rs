@@ -232,29 +232,73 @@ impl Fnv1a {
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
-///
-/// Used to detect torn page writes and truncated log records.
-pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *e = c;
+/// Slice-by-16 lookup tables for [`crc32`]: `CRC_TABLES[0]` is the
+/// classic bytewise table of the reflected IEEE polynomial, and
+/// `CRC_TABLES[k][b]` advances `CRC_TABLES[0][b]` by `k` more zero
+/// bytes, so one 16-byte block folds in with sixteen independent
+/// lookups.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        t
-    });
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected), slice-by-16.
+///
+/// Used to detect torn page writes and truncated log records. The
+/// value is the standard CRC-32 of `data` — the same as a bytewise
+/// table walk — so checksums already on disk stay valid.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut blocks = data.chunks_exact(16);
+    for b in &mut blocks {
+        let x = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(x & 0xFF) as usize]
+            ^ t[14][((x >> 8) & 0xFF) as usize]
+            ^ t[13][((x >> 16) & 0xFF) as usize]
+            ^ t[12][(x >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -320,6 +364,49 @@ mod tests {
         // Standard check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bytewise table walk `crc32` used before slice-by-16: the
+    /// reference every fast-path result must equal.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, e) in table.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            *e = c;
+        }
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference_at_every_length_and_offset() {
+        let mut rng = crate::Rng::seed_from_u64(0xC3C3);
+        let buf: Vec<u8> = (0..316).map(|_| rng.next_u64() as u8).collect();
+        for off in 0..16 {
+            for len in 0..=300 {
+                let s = &buf[off..off + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "off={off} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference_on_random_pages() {
+        for seed in 0..32u64 {
+            let mut rng = crate::Rng::seed_from_u64(seed);
+            let buf: Vec<u8> = (0..4096).map(|_| rng.next_u64() as u8).collect();
+            assert_eq!(crc32(&buf), crc32_bytewise(&buf), "seed={seed}");
+        }
     }
 
     #[test]

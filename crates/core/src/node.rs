@@ -1,7 +1,9 @@
 //! A processing node: buffer pool, local WAL, DPT, lock tables,
 //! transaction manager, checkpointing, and the node-local halves of the
 //! recovery protocol (restart analysis, NodePSNList construction,
-//! PSN-filtered replay).
+//! PSN-filtered replay). Restart analysis decodes the log once and
+//! keeps its Update/CLR records as a redo index that the later
+//! recovery passes read instead of re-scanning the log.
 //!
 //! Everything here is node-local: no method sends messages. The
 //! [`crate::Cluster`] composes these pieces into the distributed
@@ -19,7 +21,7 @@ use cblog_wal::{
     CheckpointBody, DirtyPageTable, DptEntry, LogManager, LogPayload, LogRecord, LogStore,
     MemLogStore, PageOp,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Reserved transaction id used for non-transactional records
 /// (checkpoints) in a node's log.
@@ -60,6 +62,54 @@ pub struct AnalysisResult {
     pub bytes_scanned: u64,
 }
 
+/// One redo-bearing (Update or CLR) record of the local log, decoded
+/// once into the node's redo index.
+#[derive(Clone, Debug, PartialEq)]
+struct RedoRecord {
+    lsn: Lsn,
+    txn: TxnId,
+    pid: PageId,
+    psn_before: Psn,
+    op: PageOp,
+}
+
+impl RedoRecord {
+    /// The redo part of `rec` (read at `lsn`), if it is an Update/CLR.
+    fn of(lsn: Lsn, rec: LogRecord) -> Option<Self> {
+        match rec.payload {
+            LogPayload::Update {
+                pid,
+                psn_before,
+                op,
+            }
+            | LogPayload::Clr {
+                pid,
+                psn_before,
+                op,
+                ..
+            } => Some(RedoRecord {
+                lsn,
+                txn: rec.txn,
+                pid,
+                psn_before,
+                op,
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// The Update/CLR records of the local log range `[from, end)` in LSN
+/// order. Restart analysis builds it while it decodes the log; the
+/// NodePSNList, replay and replay-extraction passes read slices of it.
+/// It is volatile: a crash drops it, and so does a checkpoint, which
+/// bounds it by the log a recovery can need.
+struct RedoIndex {
+    from: Lsn,
+    end: Lsn,
+    records: Vec<RedoRecord>,
+}
+
 /// Outcome of one rollback step (driven by the cluster because undoing
 /// may require re-fetching a page from its owner, §2.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,6 +143,9 @@ pub struct Node {
     pub(crate) registry: Registry,
     /// Bounded ring of recent protocol events (same survival rule).
     pub(crate) recorder: FlightRecorder,
+    /// Decoded redo records, from restart analysis (or the first
+    /// recovery pass that needs them) until the next checkpoint.
+    redo: Option<RedoIndex>,
     next_seq: u64,
     crashed: bool,
     commits: Counter,
@@ -181,6 +234,7 @@ impl Node {
             replacers: BTreeMap::new(),
             recorder,
             registry,
+            redo: None,
             next_seq: 1,
             crashed: false,
             commits,
@@ -546,6 +600,7 @@ impl Node {
         })?;
         self.log.force(end)?;
         self.log.write_master(begin)?;
+        self.redo = None;
         Ok(begin)
     }
 
@@ -713,6 +768,7 @@ impl Node {
         self.global_locks.clear();
         self.txns.clear();
         self.replacers.clear();
+        self.redo = None;
         self.crashed = true;
     }
 
@@ -739,7 +795,9 @@ impl Node {
 
     /// ARIES analysis over the local log from the last complete
     /// checkpoint: rebuilds the DPT (a conservative superset) and the
-    /// loser transaction table.
+    /// loser transaction table. The Update/CLR records it decodes are
+    /// kept as the node's redo index, so the passes after it decode
+    /// nothing the analysis already read.
     pub fn restart_analysis(&mut self) -> Result<AnalysisResult> {
         let ckpt = self.log.last_checkpoint();
         let start = if ckpt.is_zero() {
@@ -751,6 +809,7 @@ impl Node {
         let mut dpt = DirtyPageTable::new();
         let mut records = 0u64;
         let mut max_seq = 0u64;
+        let mut redo: Vec<RedoRecord> = Vec::new();
         let scan_start = start;
         let mut pos = start;
         let end = self.log.end_lsn();
@@ -842,8 +901,14 @@ impl Node {
                 }
                 LogPayload::AllocPage { .. } | LogPayload::FreePage { .. } => {}
             }
+            redo.extend(RedoRecord::of(pos, rec));
             pos = next;
         }
+        self.redo = Some(RedoIndex {
+            from: scan_start,
+            end,
+            records: redo,
+        });
         let bytes_scanned = end.0 - scan_start.0;
         let mut losers: Vec<TxnId> = att.keys().copied().collect();
         losers.sort();
@@ -922,13 +987,50 @@ impl Node {
     // NodePSNList construction and PSN-filtered replay (paper §2.3.4)
     // ------------------------------------------------------------------
 
+    /// Takes the redo index out of the node, made to cover `[from,
+    /// end of log)` — the one place the recovery passes after analysis
+    /// read the log. An index that already covers the range is
+    /// returned as is; one that ends early (records appended since,
+    /// e.g. a loser's CLRs) is extended by scanning only the new
+    /// suffix; one that starts too late, or none at all (an
+    /// operational node that never ran analysis), is rebuilt by a
+    /// single scan from `from`.
+    fn take_redo_index(&mut self, from: Lsn) -> Result<RedoIndex> {
+        let end = self.log.end_lsn();
+        let mut ix = match self.redo.take() {
+            Some(ix) if ix.from <= from && ix.end <= end && self.log.base_lsn() <= from => ix,
+            _ => RedoIndex {
+                from,
+                end: from,
+                records: Vec::new(),
+            },
+        };
+        let mut pos = ix.end;
+        while pos < end {
+            let (rec, next) = self.log.read_record(pos)?;
+            ix.records.extend(RedoRecord::of(pos, rec));
+            pos = next;
+        }
+        ix.end = end;
+        Ok(ix)
+    }
+
+    /// The redo records of the local log from `from` through its end,
+    /// in LSN order, read from the (kept) redo index.
+    fn redo_records(&mut self, from: Lsn) -> Result<&[RedoRecord]> {
+        let ix = self.take_redo_index(from)?;
+        let ix = self.redo.insert(ix);
+        let first = ix.records.partition_point(|r| r.lsn < from);
+        Ok(&ix.records[first..])
+    }
+
     /// Builds this node's NodePSNList for `pages`: scans the local log
     /// from the minimum RedoLSN of the DPT entries for those pages and
     /// records (page, PSN, log location) whenever an examined record
     /// updates one of the pages and belongs to a different transaction
     /// than the previous record recorded for that page.
     pub fn build_psn_list(&mut self, pages: &[PageId]) -> Result<Vec<NodePsnEntry>> {
-        let wanted: BTreeSet<PageId> = pages.iter().copied().collect();
+        let wanted: HashSet<PageId> = pages.iter().copied().collect();
         let from = pages
             .iter()
             .filter_map(|p| self.dpt.get(*p).map(|e| e.redo_lsn))
@@ -938,22 +1040,16 @@ impl Node {
         };
         let mut out: Vec<NodePsnEntry> = Vec::new();
         let mut last_txn: HashMap<PageId, TxnId> = HashMap::new();
-        let mut pos = from;
-        let end = self.log.end_lsn();
-        while pos < end {
-            let (rec, next) = self.log.read_record(pos)?;
-            if let (Some(pid), Some(psn)) = (rec.page(), rec.psn_before()) {
-                if wanted.contains(&pid) && last_txn.get(&pid) != Some(&rec.txn) {
-                    out.push(NodePsnEntry {
-                        pid,
-                        psn,
-                        lsn: pos,
-                        txn: rec.txn,
-                    });
-                    last_txn.insert(pid, rec.txn);
-                }
+        for r in self.redo_records(from)? {
+            if wanted.contains(&r.pid) && last_txn.get(&r.pid) != Some(&r.txn) {
+                out.push(NodePsnEntry {
+                    pid: r.pid,
+                    psn: r.psn_before,
+                    lsn: r.lsn,
+                    txn: r.txn,
+                });
+                last_txn.insert(r.pid, r.txn);
             }
-            pos = next;
         }
         Ok(out)
     }
@@ -970,61 +1066,37 @@ impl Node {
         bound: Option<Psn>,
     ) -> Result<(Lsn, u64, bool)> {
         let pid = page.id();
-        let mut pos = start_lsn;
         let end = self.log.end_lsn();
         let mut applied = 0u64;
-        while pos < end {
-            let (rec, next) = self.log.read_record(pos)?;
-            if rec.page() == Some(pid) {
-                let psn_before = rec.psn_before().expect("update/clr has psn");
-                if let Some(b) = bound {
-                    if psn_before > b {
-                        return Ok((pos, applied, true));
-                    }
-                }
-                if psn_before == page.psn() {
-                    rec.op().expect("update/clr has op").apply_redo(page)?;
-                    page.set_psn(psn_before.next());
-                    applied += 1;
+        for r in self.redo_records(start_lsn)? {
+            if r.pid != pid {
+                continue;
+            }
+            if let Some(b) = bound {
+                if r.psn_before > b {
+                    return Ok((r.lsn, applied, true));
                 }
             }
-            pos = next;
+            if r.psn_before == page.psn() {
+                r.op.apply_redo(page)?;
+                page.set_psn(r.psn_before.next());
+                applied += 1;
+            }
         }
         Ok((end, applied, false))
     }
 
-    /// Extracts this node's redo records for `page` starting at
-    /// `start_lsn` as `(psn_before, op)` pairs, in log order. This is
-    /// the serial "log dispatch" half of parallel replay: one pass per
-    /// page over the local log here, then workers apply the extracted
-    /// ops concurrently under the same PSN filter [`Node::replay_page`]
-    /// uses — without needing `&mut self` (the log) at apply time.
-    pub fn collect_replay_records(
-        &mut self,
-        pid: PageId,
-        start_lsn: Lsn,
-    ) -> Result<Vec<(Psn, PageOp)>> {
-        let mut pos = start_lsn;
-        let end = self.log.end_lsn();
-        let mut out = Vec::new();
-        while pos < end {
-            let (rec, next) = self.log.read_record(pos)?;
-            if rec.page() == Some(pid) {
-                let psn_before = rec.psn_before().expect("update/clr has psn");
-                let op = rec.op().expect("update/clr has op").clone();
-                out.push((psn_before, op));
-            }
-            pos = next;
-        }
-        Ok(out)
-    }
-
-    /// Batched [`Node::collect_replay_records`]: one scan of the local
-    /// log serving every target page at once. `targets` maps each page
+    /// Extracts this node's redo records for every target page as
+    /// `(psn_before, op)` pairs in log order. `targets` maps each page
     /// to the LSN its redo starts at; records before a page's start
-    /// are skipped. The threaded runtime extracts all replay units of
-    /// a crashed node this way — O(log) instead of O(pages × log) —
-    /// before handing the per-page vectors to parallel workers.
+    /// are skipped. This is the serial "log dispatch" half of parallel
+    /// replay: the threaded runtime extracts all replay units of a
+    /// crashed node in one pass over the redo index, then workers
+    /// apply the ops concurrently under the same PSN filter
+    /// [`Node::replay_page`] uses — without needing `&mut self` (the
+    /// log) at apply time. Extraction is the last pass that reads the
+    /// index, so it moves the ops out instead of copying them and
+    /// releases the index; a later pass would rebuild it.
     pub fn collect_replay_records_batch(
         &mut self,
         targets: &BTreeMap<PageId, Lsn>,
@@ -1034,22 +1106,14 @@ impl Node {
         let Some(&from) = targets.values().min() else {
             return Ok(out);
         };
-        let mut pos = from;
-        let end = self.log.end_lsn();
-        while pos < end {
-            let (rec, next) = self.log.read_record(pos)?;
-            if let Some(pid) = rec.page() {
-                if let Some(&start) = targets.get(&pid) {
-                    if pos >= start {
-                        let psn_before = rec.psn_before().expect("update/clr has psn");
-                        let op = rec.op().expect("update/clr has op").clone();
-                        out.get_mut(&pid)
-                            .expect("target vec exists")
-                            .push((psn_before, op));
-                    }
+        for r in self.take_redo_index(from)?.records {
+            if let Some(&start) = targets.get(&r.pid) {
+                if r.lsn >= start {
+                    out.get_mut(&r.pid)
+                        .expect("target vec exists")
+                        .push((r.psn_before, r.op));
                 }
             }
-            pos = next;
         }
         Ok(out)
     }
@@ -1319,6 +1383,166 @@ mod tests {
         // Replaying again is a no-op (PSN filter).
         let (_, applied3, _) = n.replay_page(&mut page, start, None).unwrap();
         assert_eq!(applied3, 0);
+    }
+
+    /// The NodePSNList by a direct scan of the log — the reference the
+    /// redo-index-backed [`Node::build_psn_list`] must match.
+    fn scan_psn_list(n: &mut Node, pages: &[PageId]) -> Vec<NodePsnEntry> {
+        let from = pages
+            .iter()
+            .filter_map(|p| n.dpt().get(*p).map(|e| e.redo_lsn))
+            .min()
+            .unwrap();
+        let mut out = Vec::new();
+        let mut last_txn: HashMap<PageId, TxnId> = HashMap::new();
+        let mut pos = from;
+        while pos < n.log.end_lsn() {
+            let (rec, next) = n.log.read_record(pos).unwrap();
+            if let (Some(pid), Some(psn)) = (rec.page(), rec.psn_before()) {
+                if pages.contains(&pid) && last_txn.get(&pid) != Some(&rec.txn) {
+                    out.push(NodePsnEntry {
+                        pid,
+                        psn,
+                        lsn: pos,
+                        txn: rec.txn,
+                    });
+                    last_txn.insert(pid, rec.txn);
+                }
+            }
+            pos = next;
+        }
+        out
+    }
+
+    /// Replay extraction by a direct scan of the log — the reference
+    /// for [`Node::collect_replay_records_batch`].
+    fn scan_replay_records(
+        n: &mut Node,
+        targets: &BTreeMap<PageId, Lsn>,
+    ) -> BTreeMap<PageId, Vec<(Psn, PageOp)>> {
+        let mut out: BTreeMap<PageId, Vec<(Psn, PageOp)>> =
+            targets.keys().map(|&p| (p, Vec::new())).collect();
+        let mut pos = *targets.values().min().unwrap();
+        while pos < n.log.end_lsn() {
+            let (rec, next) = n.log.read_record(pos).unwrap();
+            if let Some(pid) = rec.page() {
+                if targets.get(&pid).is_some_and(|&start| pos >= start) {
+                    let op = rec.op().unwrap().clone();
+                    out.get_mut(&pid)
+                        .unwrap()
+                        .push((rec.psn_before().unwrap(), op));
+                }
+            }
+            pos = next;
+        }
+        out
+    }
+
+    /// A crashed node with committed work on both sides of a
+    /// checkpoint and a forced loser (`t2` on pages 2 then 1), after
+    /// restart analysis.
+    fn analysed_crash() -> (Node, AnalysisResult, Vec<PageId>) {
+        let mut n = node();
+        let p: Vec<PageId> = (0..4).map(|i| load(&mut n, i)).collect();
+        let t1 = n.begin().unwrap();
+        upd(&mut n, t1, p[0], 0, 1);
+        upd(&mut n, t1, p[0], 1, 2);
+        upd(&mut n, t1, p[1], 0, 3);
+        n.commit(t1).unwrap();
+        n.checkpoint().unwrap();
+        assert!(n.redo.is_none(), "a checkpoint frees the redo index");
+        let t2 = n.begin().unwrap();
+        upd(&mut n, t2, p[2], 0, 4);
+        upd(&mut n, t2, p[1], 1, 5);
+        let t3 = n.begin().unwrap();
+        upd(&mut n, t3, p[0], 2, 6);
+        upd(&mut n, t3, p[3], 0, 7);
+        n.commit(t3).unwrap();
+        n.crash();
+        assert!(n.redo.is_none(), "a crash frees the redo index");
+        n.mark_restarting().unwrap();
+        let a = n.restart_analysis().unwrap();
+        assert_eq!(a.losers, vec![t2]);
+        (n, a, p)
+    }
+
+    fn replay_targets(list: &[NodePsnEntry]) -> BTreeMap<PageId, Lsn> {
+        let mut targets: BTreeMap<PageId, Lsn> = BTreeMap::new();
+        for e in list {
+            let start = targets.entry(e.pid).or_insert(e.lsn);
+            *start = (*start).min(e.lsn);
+        }
+        targets
+    }
+
+    #[test]
+    fn redo_index_passes_match_a_fresh_scan_after_analysis() {
+        let (mut n, a, p) = analysed_crash();
+        // Pages dirtied after the checkpoint are served from the index
+        // analysis built, without a rescan.
+        let late = [p[2], p[3]];
+        let want = scan_psn_list(&mut n, &late);
+        assert_eq!(n.build_psn_list(&late).unwrap(), want);
+        assert_eq!(n.redo.as_ref().unwrap().from, a.start_lsn);
+        // Pre-checkpoint dirt reaches below analysis's start: the index
+        // is rebuilt from the oldest RedoLSN by one scan.
+        let pages: Vec<PageId> = n.dpt().entries().iter().map(|e| e.pid).collect();
+        assert_eq!(pages, p);
+        let want = scan_psn_list(&mut n, &pages);
+        let list = n.build_psn_list(&pages).unwrap();
+        assert_eq!(list, want);
+        assert!(n.redo.as_ref().unwrap().from < a.start_lsn);
+        let targets = replay_targets(&list);
+        let want = scan_replay_records(&mut n, &targets);
+        assert_eq!(n.collect_replay_records_batch(&targets).unwrap(), want);
+        assert!(n.redo.is_none(), "extraction releases the index");
+        // A node that never ran analysis builds the index on demand.
+        assert_eq!(n.build_psn_list(&pages).unwrap(), list);
+    }
+
+    #[test]
+    fn redo_index_sees_records_appended_after_analysis() {
+        let (mut n, _, p) = analysed_crash();
+        let pages: Vec<PageId> = n.dpt().entries().iter().map(|e| e.pid).collect();
+        let list = n.build_psn_list(&pages).unwrap();
+        let targets = replay_targets(&list);
+        let from = n.redo.as_ref().unwrap().from;
+        // Redo every page into the cache, then undo the loser: its two
+        // CLRs land after the indexed range.
+        for (&pid, &start) in &targets {
+            let (mut page, _) = n.authoritative_copy(pid).unwrap();
+            n.replay_page(&mut page, start, None).unwrap();
+            n.cache_page(page, true).unwrap();
+        }
+        let loser = n.active_txns()[0];
+        n.start_abort(loser).unwrap();
+        loop {
+            match n.rollback_step(loser, Lsn::ZERO).unwrap() {
+                RollbackStep::Done => break,
+                RollbackStep::Undone(_) => {}
+                RollbackStep::NeedPage(pid) => panic!("{pid} was redone into the cache"),
+            }
+        }
+        n.finish_abort(loser).unwrap();
+        let want = scan_psn_list(&mut n, &pages);
+        assert_eq!(n.build_psn_list(&pages).unwrap(), want);
+        assert_eq!(
+            n.redo.as_ref().unwrap().from,
+            from,
+            "extended in place, not rebuilt"
+        );
+        let want = scan_replay_records(&mut n, &targets);
+        let got = n.collect_replay_records_batch(&targets).unwrap();
+        assert_eq!(got, want);
+        // Replay from the disk image now applies the loser's update and
+        // then its CLR.
+        let mut page = n.db.as_mut().unwrap().read_page(2).unwrap();
+        let psn0 = page.psn();
+        let (_, applied, _) = n.replay_page(&mut page, targets[&p[2]], None).unwrap();
+        assert_eq!(applied, got[&p[2]].len() as u64);
+        assert_eq!(got[&p[2]].len(), 2, "update + CLR");
+        assert_eq!(page.psn(), Psn(psn0.0 + 2));
+        assert_eq!(page.read_slot(0).unwrap(), 0, "the CLR undid the loser");
     }
 
     #[test]

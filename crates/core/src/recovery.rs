@@ -435,15 +435,22 @@ pub fn plan_replay(
     involved: &BTreeMap<PageId, Vec<NodeId>>,
     psn_lists: &BTreeMap<NodeId, Vec<NodePsnEntry>>,
 ) -> ReplayPlan {
+    // One pass groups every list entry by page, so each unit below
+    // reads only its own page's entries rather than rescanning every
+    // list once per page.
+    let mut by_page: HashMap<PageId, Vec<(Psn, NodeId, Lsn)>> = HashMap::new();
+    for (&n, list) in psn_lists {
+        for e in list {
+            by_page.entry(e.pid).or_default().push((e.psn, n, e.lsn));
+        }
+    }
     let mut units: Vec<ReplayUnit> = Vec::with_capacity(involved.len());
-    let mut unit_of: BTreeMap<PageId, usize> = BTreeMap::new();
+    let mut unit_of: HashMap<PageId, usize> = HashMap::with_capacity(involved.len());
     for (&pid, nodes) in involved {
         let mut entries: Vec<(Psn, NodeId, Lsn)> = Vec::new();
-        for &n in nodes {
-            if let Some(list) = psn_lists.get(&n) {
-                for e in list.iter().filter(|e| e.pid == pid) {
-                    entries.push((e.psn, n, e.lsn));
-                }
+        if let Some(group) = by_page.get(&pid) {
+            for &n in nodes {
+                entries.extend(group.iter().filter(|e| e.1 == n));
             }
         }
         let psn_intervals = entries.len() as u64;
@@ -2040,6 +2047,186 @@ mod tests {
         let last = plan.waves.last().unwrap();
         assert_eq!(last.len(), 2, "the cyclic pair lands in the final wave");
         assert!(plan.critical_path_psns >= 2);
+    }
+
+    /// The per-page-filter planner `plan_replay` replaced: the
+    /// reference the grouped planner must match exactly.
+    fn plan_replay_reference(
+        involved: &BTreeMap<PageId, Vec<NodeId>>,
+        psn_lists: &BTreeMap<NodeId, Vec<NodePsnEntry>>,
+    ) -> ReplayPlan {
+        let mut units: Vec<ReplayUnit> = Vec::with_capacity(involved.len());
+        let mut unit_of: BTreeMap<PageId, usize> = BTreeMap::new();
+        for (&pid, nodes) in involved {
+            let mut entries: Vec<(Psn, NodeId, Lsn)> = Vec::new();
+            for &n in nodes {
+                if let Some(list) = psn_lists.get(&n) {
+                    for e in list.iter().filter(|e| e.pid == pid) {
+                        entries.push((e.psn, n, e.lsn));
+                    }
+                }
+            }
+            let psn_intervals = entries.len() as u64;
+            entries.sort();
+            let mut hops: Vec<(Psn, NodeId, Lsn)> = Vec::new();
+            for e in entries {
+                match hops.last() {
+                    Some(&(_, n, _)) if n == e.1 => {}
+                    _ => hops.push(e),
+                }
+            }
+            unit_of.insert(pid, units.len());
+            units.push(ReplayUnit {
+                pid,
+                hops,
+                psn_intervals,
+            });
+        }
+        let n = units.len();
+        let mut succs: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+        let mut indeg: Vec<usize> = vec![0; n];
+        for list in psn_lists.values() {
+            let mut last_of_txn: HashMap<TxnId, usize> = HashMap::new();
+            for e in list {
+                let Some(&u) = unit_of.get(&e.pid) else {
+                    continue;
+                };
+                if let Some(&prev) = last_of_txn.get(&e.txn) {
+                    if prev != u && succs[prev].insert(u) {
+                        indeg[u] += 1;
+                    }
+                }
+                last_of_txn.insert(e.txn, u);
+            }
+        }
+        let mut waves: Vec<Vec<usize>> = Vec::new();
+        let mut dist: Vec<u64> = vec![0; n];
+        let mut done: Vec<bool> = vec![false; n];
+        let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        let mut critical = 0u64;
+        while !ready.is_empty() {
+            let mut next = Vec::new();
+            for &u in &ready {
+                done[u] = true;
+                dist[u] += units[u].psn_intervals;
+                critical = critical.max(dist[u]);
+                for &v in &succs[u] {
+                    dist[v] = dist[v].max(dist[u]);
+                    indeg[v] -= 1;
+                    if indeg[v] == 0 {
+                        next.push(v);
+                    }
+                }
+            }
+            waves.push(std::mem::take(&mut ready));
+            ready = next;
+        }
+        let leftover: Vec<usize> = (0..n).filter(|&i| !done[i]).collect();
+        if !leftover.is_empty() {
+            let base = critical;
+            let cycle_weight: u64 = leftover.iter().map(|&u| units[u].psn_intervals).sum();
+            critical = critical.max(base + cycle_weight);
+            waves.push(leftover);
+        }
+        ReplayPlan {
+            units,
+            waves,
+            critical_path_psns: critical,
+        }
+    }
+
+    /// Planner inputs of the shape a seeded workload produces. Each
+    /// page is involved on `1..=max_nodes` of `nodes` logs (the
+    /// threaded engine's shape is `nodes = 1`: only the owner's log).
+    /// Transactions touch 1–3 pages in a burst, so multi-page
+    /// transactions add cross-page edges; some entries name pages or
+    /// nodes outside `involved`, which the planner must ignore.
+    fn random_plan_input(
+        rng: &mut cblog_common::Rng,
+        nodes: u32,
+        max_nodes: usize,
+        pages: u32,
+    ) -> (
+        BTreeMap<PageId, Vec<NodeId>>,
+        BTreeMap<NodeId, Vec<NodePsnEntry>>,
+    ) {
+        let all_pages: Vec<PageId> = (0..pages).map(|i| pid(i % 2, i)).collect();
+        let mut involved: BTreeMap<PageId, Vec<NodeId>> = BTreeMap::new();
+        for &p in &all_pages {
+            let mut ns: Vec<NodeId> = (0..nodes).map(NodeId).collect();
+            rng.shuffle(&mut ns);
+            ns.truncate(rng.gen_range_usize(1..max_nodes.min(nodes as usize) + 1));
+            ns.sort();
+            involved.insert(p, ns);
+        }
+        let mut lists: BTreeMap<NodeId, Vec<NodePsnEntry>> = BTreeMap::new();
+        let mut psn: BTreeMap<PageId, u64> = BTreeMap::new();
+        for n in 0..nodes {
+            let mut list = Vec::new();
+            let mut lsn = 8u64;
+            for seq in 1..=rng.gen_range(0..40) {
+                for _ in 0..rng.gen_range(1..4) {
+                    // Out-of-range indices name pages nobody involved.
+                    let i = rng.gen_range(0..pages as u64 + 2) as u32;
+                    let p = pid(i % 2, i);
+                    let s = psn.entry(p).or_insert(0);
+                    *s += rng.gen_range(1..4);
+                    list.push(entry(p, *s, lsn, n, seq));
+                    lsn += rng.gen_range(40..120);
+                }
+            }
+            lists.insert(NodeId(n), list);
+        }
+        (involved, lists)
+    }
+
+    #[test]
+    fn plan_replay_matches_reference_planner() {
+        let mut cycles = 0;
+        for seed in 0..300u64 {
+            let mut rng = cblog_common::Rng::seed_from_u64(seed);
+            let (nodes, max_nodes, pages) = match seed % 3 {
+                0 => (1, 1, 1 + rng.gen_range(0..64) as u32),
+                1 => (3, 3, 1 + rng.gen_range(0..24) as u32),
+                _ => (2, 2, 1 + rng.gen_range(0..16) as u32),
+            };
+            let (involved, mut lists) = random_plan_input(&mut rng, nodes, max_nodes, pages);
+            if seed % 5 == 0 && pages >= 2 {
+                // Force a cycle: two logs see one pair of pages in
+                // opposite transaction orders.
+                let (a, b) = (pid(0, 0), pid(1, 1));
+                let x = lists.entry(NodeId(0)).or_default();
+                x.push(entry(a, 900, 90_000, 0, 9_000));
+                x.push(entry(b, 901, 90_100, 0, 9_000));
+                let y = lists.entry(NodeId(nodes)).or_default();
+                y.push(entry(b, 902, 90_000, nodes, 9_001));
+                y.push(entry(a, 903, 90_100, nodes, 9_001));
+                let mut involved = involved.clone();
+                for p in [a, b] {
+                    let ns = involved.get_mut(&p).unwrap();
+                    for n in [NodeId(0), NodeId(nodes)] {
+                        if !ns.contains(&n) {
+                            ns.push(n);
+                        }
+                    }
+                }
+                let want = plan_replay_reference(&involved, &lists);
+                assert_eq!(plan_replay(&involved, &lists), want, "seed={seed} (cycle)");
+                let scheduled: usize = want.waves.iter().map(|w| w.len()).sum();
+                assert_eq!(scheduled, want.units.len());
+                cycles += 1;
+                continue;
+            }
+            let want = plan_replay_reference(&involved, &lists);
+            let got = plan_replay(&involved, &lists);
+            assert_eq!(got.units, want.units, "seed={seed}");
+            assert_eq!(got.waves, want.waves, "seed={seed}");
+            assert_eq!(
+                got.critical_path_psns, want.critical_path_psns,
+                "seed={seed}"
+            );
+        }
+        assert!(cycles > 0);
     }
 
     // ------------------------------------------------------------------

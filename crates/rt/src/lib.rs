@@ -612,10 +612,11 @@ impl Runtime for ThreadCluster {
         report.replay_waves = plan.waves.len();
         report.critical_path_psns = plan.critical_path_psns;
 
-        // ---- Replay: wave by wave. Log extraction is serial (it
-        // needs the owner's log) but batched — one scan per crashed
-        // node serves every unit; the PSN-filtered redo itself runs on
-        // `workers` scoped threads against owned page images. ----
+        // ---- Replay: wave by wave. Extraction is serial (it needs
+        // the owner's node) and decodes nothing: it slices the redo
+        // index analysis built, one pass per crashed node for every
+        // unit. The PSN-filtered redo itself runs on `workers` scoped
+        // threads against owned page images. ----
         let mut extracted: BTreeMap<PageId, Vec<(Psn, PageOp)>> = BTreeMap::new();
         let mut targets: BTreeMap<NodeId, BTreeMap<PageId, Lsn>> = BTreeMap::new();
         for unit in &plan.units {

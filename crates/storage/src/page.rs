@@ -316,4 +316,25 @@ mod tests {
     fn short_buffer_rejected() {
         assert!(Page::from_bytes(vec![0; 8]).is_err());
     }
+
+    /// The on-disk page format is pinned byte for byte: a change to the
+    /// header layout or to the CRC-32 would move these bytes.
+    #[test]
+    fn golden_page_bytes() {
+        let mut p = Page::new(pid(), PageKind::Raw, Psn(0x0102_0304), 64);
+        p.write_slot(0, 0xDEAD_BEEF).unwrap();
+        p.write_slot(3, 42).unwrap();
+        let bytes = p.to_bytes();
+        assert_eq!(bytes, GOLDEN_PAGE.to_vec());
+        let back = Page::from_bytes(bytes).unwrap();
+        assert_eq!(back.to_bytes(), GOLDEN_PAGE.to_vec());
+    }
+
+    #[rustfmt::skip]
+    const GOLDEN_PAGE: [u8; 64] = [
+        76, 66, 67, 80, 7, 0, 0, 0, 1, 0, 0, 0, 4, 3, 2, 1,
+        0, 0, 0, 0, 1, 0, 0, 0, 189, 216, 194, 63, 0, 0, 0, 0,
+        239, 190, 173, 222, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 42, 0, 0, 0, 0, 0, 0, 0,
+    ];
 }

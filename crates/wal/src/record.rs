@@ -104,6 +104,17 @@ impl PageOp {
         !matches!(self, PageOp::WriteRange { .. })
     }
 
+    /// An upper bound on the bytes [`PageOp::encode`] writes.
+    fn encoded_len_bound(&self) -> usize {
+        let bytes = match self {
+            PageOp::WriteRange { before, after, .. } => before.len() + after.len(),
+            PageOp::Insert { data, .. } => data.len(),
+            PageOp::Delete { old, .. } => old.len(),
+            PageOp::UpdateRec { old, new, .. } => old.len() + new.len(),
+        };
+        1 + 4 + 2 * 4 + bytes
+    }
+
     fn encode(&self, e: &mut Encoder) {
         match self {
             PageOp::WriteRange { off, before, after } => {
@@ -273,8 +284,13 @@ impl LogRecord {
     }
 
     /// Serializes the record with framing (length + crc).
+    ///
+    /// The frame and body go into one buffer sized up front, so an
+    /// append costs a single allocation and never a reallocation.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Encoder::with_capacity(64);
+        let mut body = Encoder::with_capacity(self.encoded_len_bound());
+        body.put_u32(0); // frame length, patched below
+        body.put_u32(0); // body crc, patched below
         body.put_txn(self.txn);
         body.put_lsn(self.prev_lsn);
         body.put_u8(self.payload.tag());
@@ -323,13 +339,27 @@ impl LogRecord {
                 body.put_psn(*final_psn);
             }
         }
-        let body = body.into_vec();
-        let mut out = Encoder::with_capacity(body.len() + 8);
-        out.put_u32((body.len() + 8) as u32);
-        out.put_u32(cblog_common::crc32(&body));
-        let mut v = out.into_vec();
-        v.extend_from_slice(&body);
+        let mut v = body.into_vec();
+        let total = v.len() as u32;
+        let crc = cblog_common::crc32(&v[8..]);
+        v[0..4].copy_from_slice(&total.to_le_bytes());
+        v[4..8].copy_from_slice(&crc.to_le_bytes());
         v
+    }
+
+    /// An upper bound on [`LogRecord::encode`]'s output length: the
+    /// frame and fixed fields, plus the variable-length parts.
+    fn encoded_len_bound(&self) -> usize {
+        // frame, txn, prev_lsn, tag, pid, psn_before, undo_next
+        const FIXED: usize = 8 + 12 + 8 + 1 + 8 + 8 + 8;
+        FIXED
+            + match &self.payload {
+                LogPayload::Update { op, .. } | LogPayload::Clr { op, .. } => {
+                    op.encoded_len_bound()
+                }
+                LogPayload::CheckpointEnd(b) => 8 + b.dpt.len() * 64 + b.active_txns.len() * 20,
+                _ => 0,
+            }
     }
 
     /// Decodes one framed record from the front of `buf`, returning the
@@ -421,6 +451,10 @@ mod tests {
 
     fn round_trip(r: LogRecord) {
         let bytes = r.encode();
+        assert!(
+            bytes.len() <= r.encoded_len_bound(),
+            "{r:?} outgrew its bound"
+        );
         let (back, consumed) = LogRecord::decode(&bytes).unwrap();
         assert_eq!(consumed, bytes.len());
         assert_eq!(back, r);
@@ -598,4 +632,34 @@ mod tests {
         assert_eq!(c.psn_before(), None);
         assert!(c.op().is_none());
     }
+
+    /// The on-disk record format is pinned byte for byte: a change to
+    /// the encoding or to the CRC-32 would move these bytes.
+    #[test]
+    fn golden_update_record_bytes() {
+        let r = LogRecord {
+            txn: txn(),
+            prev_lsn: Lsn(0x1234),
+            payload: LogPayload::Update {
+                pid: pid(),
+                psn_before: Psn(9),
+                op: PageOp::WriteRange {
+                    off: 40,
+                    before: vec![0xAA; 4],
+                    after: vec![1, 2, 3, 4],
+                },
+            },
+        };
+        let bytes = r.encode();
+        assert_eq!(bytes, GOLDEN_UPDATE.to_vec());
+    }
+
+    #[rustfmt::skip]
+    const GOLDEN_UPDATE: [u8; 66] = [
+        66, 0, 0, 0, 58, 161, 116, 170, 1, 0, 0, 0, 3, 0, 0, 0,
+        0, 0, 0, 0, 52, 18, 0, 0, 0, 0, 0, 0, 1, 5, 0, 0,
+        0, 2, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 40, 0,
+        0, 0, 4, 0, 0, 0, 170, 170, 170, 170, 4, 0, 0, 0, 1, 2,
+        3, 4,
+    ];
 }

@@ -8,6 +8,7 @@
 use cblog_common::{CostModel, Error, NodeId, PageId, RecoveryPhase};
 use cblog_core::{
     recovery, Cluster, ClusterConfig, FaultPlan, GroupCommitPolicy, RecoveryOptions, ReplayMode,
+    Runtime,
 };
 
 fn cluster(owned: Vec<u32>, policy: GroupCommitPolicy, tracing: bool) -> Cluster {
@@ -172,8 +173,26 @@ fn open_window_torn_interrupted_only_acked_survive() {
     let (probe, _) = build();
     let pending = probe.pending_log_bytes(NodeId(1));
     assert!(pending > 0);
+    // Durable page images after recovery: an interrupted-and-rerun
+    // recovery must leave exactly the pages an uninterrupted one does.
+    let images = |c: &mut Cluster| -> Vec<Vec<u8>> {
+        (0..4u32)
+            .map(|i| c.page_image(PageId::new(NodeId(0), i)).unwrap())
+            .collect()
+    };
     for landed in 0..=pending {
-        for &phase in &[RecoveryPhase::Analysis, RecoveryPhase::Undo] {
+        let uninterrupted = {
+            let (mut c, _) = build();
+            c.crash_torn(NodeId(1), landed, false);
+            recovery::recover(&mut c, &RecoveryOptions::single(NodeId(1))).unwrap();
+            images(&mut c)
+        };
+        for &phase in &[
+            RecoveryPhase::Analysis,
+            RecoveryPhase::PsnLists,
+            RecoveryPhase::Replay,
+            RecoveryPhase::Undo,
+        ] {
             let (mut c, txns) = build();
             let acked: Vec<bool> = txns.iter().map(|t| c.poll_committed(*t).unwrap()).collect();
             assert!(acked.iter().all(|a| !a), "window still open");
@@ -185,6 +204,11 @@ fn open_window_torn_interrupted_only_acked_survive() {
             .unwrap_err();
             assert!(matches!(err, Error::RecoveryInterrupted(p) if p == phase));
             recovery::recover(&mut c, &RecoveryOptions::single(NodeId(1))).unwrap();
+            assert_eq!(
+                images(&mut c),
+                uninterrupted,
+                "rerun after {phase} diverges from an uninterrupted recovery (landed={landed})"
+            );
             let t = c.begin(NodeId(0)).unwrap();
             assert_eq!(
                 c.read_u64(t, PageId::new(NodeId(0), 3), 0).unwrap(),
