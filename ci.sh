@@ -11,25 +11,32 @@ cargo build --release --offline
 echo "==> cargo test -q"
 cargo test -q --offline
 
-echo "==> E1b group-commit experiment (BENCH_e1_groupcommit.json)"
-cargo run --release --offline -p cblog-bench --bin experiments -- \
-    --json --only e1b > BENCH_e1_groupcommit.json
-
-echo "==> E1c adaptive group-commit experiment (BENCH_e1c_adaptive.json)"
-cargo run --release --offline -p cblog-bench --bin experiments -- \
-    --json --only e1c > BENCH_e1c_adaptive.json
-
-echo "==> E7 fault-injection experiment (BENCH_e7_faults.json)"
-cargo run --release --offline -p cblog-bench --bin experiments -- \
-    --json --only e7b > BENCH_e7_faults.json
-
-echo "==> E8b trace-overhead experiment (BENCH_e8_trace_overhead.json)"
-cargo run --release --offline -p cblog-bench --bin experiments -- \
-    --json --only e8b > BENCH_e8_trace_overhead.json
-
-echo "==> E9b parallel-recovery experiment (BENCH_e9_parallel_recovery.json)"
-cargo run --release --offline -p cblog-bench --bin experiments -- \
-    --json --only e9b > BENCH_e9_parallel_recovery.json
+# The simulator is deterministic, so a regenerated experiment artifact
+# must match the committed file byte for byte. A difference means the
+# change moved a simulated number: the check fails and says how to
+# re-baseline on purpose (regenerate the file, commit it with the change).
+check_artifact() {
+    name=$1
+    file=$2
+    echo "==> $name experiment ($file): regenerated must equal committed"
+    cargo run --release --offline -p cblog-bench --bin experiments -- \
+        --json --only "$name" > /tmp/ci_artifact.json
+    if ! cmp -s /tmp/ci_artifact.json "$file"; then
+        echo "ERROR: $file differs from a fresh run of experiment $name:" >&2
+        diff "$file" /tmp/ci_artifact.json | head -20 >&2 || true
+        echo "If the change is meant to move these numbers, re-baseline with" >&2
+        echo "  cargo run --release --offline -p cblog-bench --bin experiments -- --json --only $name > $file" >&2
+        echo "and commit $file together with the change." >&2
+        rm -f /tmp/ci_artifact.json
+        exit 1
+    fi
+    rm -f /tmp/ci_artifact.json
+}
+check_artifact e1b BENCH_e1_groupcommit.json
+check_artifact e1c BENCH_e1c_adaptive.json
+check_artifact e7b BENCH_e7_faults.json
+check_artifact e8b BENCH_e8_trace_overhead.json
+check_artifact e9b BENCH_e9_parallel_recovery.json
 
 echo "==> perf-regression gate (BASELINES.json)"
 cargo run --release --offline -p cblog-bench --bin experiments -- \

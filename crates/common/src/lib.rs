@@ -43,4 +43,4 @@ pub use rng::Rng;
 pub use simclock::{Bucket, CostModel, SimClock, SimTime, BUCKETS};
 pub use span::{Span, SpanBuf, SpanCtx, SpanId, SpanKind, Tracer, TransferWhy, TreeOp, Violation};
 pub use stats::Counter;
-pub use trace::{FlightRecorder, RecoveryPhase, TraceEvent, TraceRecord};
+pub use trace::RecoveryPhase;

@@ -6,24 +6,33 @@
 //! update to a page bumps its PSN under an exclusive lock, so the update
 //! history of one page is totally ordered across all nodes even though
 //! each node logs privately (LSNs are never compared across nodes).
-//! Node-local observability (`obs`, `trace`) cannot check that order —
-//! it sees one node's slice of it. The [`Tracer`] is the cluster-wide
-//! instrument: every traced unit (transaction, page transfer, recovery
-//! phase, per-page replay hop, protocol message) becomes a [`Span`] with
-//! a cluster-unique [`SpanId`] and a causal parent, and cross-node edges
+//! Node-local metrics (`obs`) cannot check that order — they see one
+//! node's slice of it. Spans are the one event record, and the
+//! [`Tracer`] is the cluster-wide instrument: every traced unit
+//! (transaction, page transfer, recovery phase, per-page replay hop,
+//! protocol message) becomes a [`Span`] with a cluster-unique
+//! [`SpanId`] and a causal parent, and cross-node edges
 //! are carried explicitly in message headers (`cblog_net::MsgHeader`)
 //! instead of being inferred after the fact.
 //!
-//! Three consumers sit on the span stream:
+//! Four consumers sit on the span stream:
 //!
 //! * **PSN lineage** ([`Tracer::lineage`]): for any page, the totally
 //!   ordered update / transfer / replay history across all nodes.
-//! * **Invariant watchdog** (online, inside [`Tracer::emit`]): checks
-//!   the paper's invariants as spans arrive — PSNs strictly increasing
-//!   per page, the WAL rule on page writes and transfers, zero log
-//!   records crossing the network, replay visiting PSNs in global
-//!   order — and [`Tracer::check`] fails loudly with the offending
-//!   lineage slice.
+//! * **Invariant watchdog**: checks the paper's invariants over a span
+//!   sequence — PSNs strictly increasing per page, the WAL rule on
+//!   page writes and transfers, zero log records crossing the network,
+//!   replay visiting PSNs in global order — and fails loudly with the
+//!   offending lineage slice. [`check_spans`] is the one check over a
+//!   span slice; the [`Tracer`] runs the same watchdog online inside
+//!   [`Tracer::emit`] (so it also sees spans past its capacity) and
+//!   [`Tracer::check`] renders its findings through the same renderer,
+//!   so both give identical messages for the same spans.
+//! * **Post-mortem tail** ([`render_tail`], [`Tracer::tail`]): the last
+//!   few spans of every node, printed when an oracle check fails. A
+//!   run with tracing off has no tail; re-run the same seed with
+//!   tracing on — tracing draws no randomness and charges no clock, so
+//!   the re-run is the same run.
 //! * **Chrome trace export** ([`Tracer::chrome_trace_json`]): the whole
 //!   span store as trace-event JSON loadable in `chrome://tracing` /
 //!   Perfetto, one process lane per node.
@@ -49,16 +58,17 @@
 //! boundaries via the usual [`SpanCtx`] wire format. At join the
 //! buffers are merged deterministically ([`SpanBuf::merge`]: ascending
 //! worker order, local emission order preserved, ids rewritten to a
-//! single monotone sequence) and the merged trace is replayed through a
-//! fresh `Tracer` — watchdog included — on one thread. The merge order
-//! is sound for every invariant the watchdog checks because each of
-//! them is per-page, and a page is only ever updated/replayed by its
+//! single monotone sequence) and the merged trace is checked by
+//! [`check_spans`] on one thread. The merge order is sound for every
+//! invariant the watchdog checks because each of them is per-page,
+//! and a page is only ever updated/replayed by its
 //! owner's thread: per-page span order inside one buffer *is* the true
 //! order, and concatenation preserves it.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 use crate::ids::{Lsn, NodeId, PageId, Psn, TxnId};
@@ -489,10 +499,11 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Online watchdog state: per-page PSN frontiers and the violations
-/// found so far. Fed by [`Tracer::emit`]; a crash clears the frontiers
-/// because PSNs above the durable coverage are legitimately regenerated
-/// by post-recovery execution.
+/// Watchdog state: per-page PSN frontiers and the violations found so
+/// far. Fed span by span — online by [`Tracer::emit`], over a slice by
+/// [`check_spans`]; a crash clears the frontiers because PSNs above the
+/// durable coverage are legitimately regenerated by post-recovery
+/// execution.
 #[derive(Default)]
 struct Watchdog {
     /// Highest PSN each page has reached via update/replay edges.
@@ -629,6 +640,76 @@ impl Watchdog {
             _ => {}
         }
     }
+}
+
+/// The watchdog over a span sequence: observes `spans` in order and
+/// passes iff no span violates an invariant; otherwise returns every
+/// violation with the offending page's lineage slice. This is the
+/// check for a trace that was recorded without an online watchdog
+/// (the threaded engine's merged [`SpanBuf`] trace); it returns the
+/// same message [`Tracer::check`] returns for the same spans.
+pub fn check_spans(spans: &[Span]) -> std::result::Result<(), String> {
+    let mut w = Watchdog::default();
+    for s in spans {
+        w.observe(s);
+    }
+    render_violations(&w.violations, spans)
+}
+
+/// `Ok` when `violations` is empty; otherwise an error message listing
+/// each violation with its page's lineage slice taken from `spans`:
+/// the last 12 spans up to the offending one, not the whole history.
+fn render_violations(violations: &[Violation], spans: &[Span]) -> std::result::Result<(), String> {
+    if violations.is_empty() {
+        return Ok(());
+    }
+    let mut msg = format!("trace watchdog: {} violation(s)\n", violations.len());
+    for v in violations {
+        let _ = writeln!(msg, "- {v}");
+        if let Some(pid) = v.pid {
+            let upto: Vec<&Span> = lineage(spans, pid).take_while(|s| s.id <= v.span).collect();
+            let tail = upto.len().saturating_sub(12);
+            if tail > 0 {
+                let _ = writeln!(msg, "    … {tail} earlier span(s)");
+            }
+            for s in &upto[tail..] {
+                let _ = writeln!(msg, "    {s}");
+            }
+        }
+    }
+    Err(msg)
+}
+
+/// The PSN lineage of `pid` in `spans`: every page-scoped span
+/// mentioning it plus the crash markers that punctuate its history, in
+/// emission (= causal) order.
+fn lineage(spans: &[Span], pid: PageId) -> impl Iterator<Item = &Span> {
+    spans
+        .iter()
+        .filter(move |s| s.kind.page() == Some(pid) || matches!(s.kind, SpanKind::Crash { .. }))
+}
+
+/// Post-mortem view of `spans`: for every node that emitted one, its
+/// last `per_node` spans, oldest first (the newest span prints last).
+/// Nodes appear in id order, each under a header naming the node and
+/// how many of its spans the tail shows.
+pub fn render_tail(spans: &[Span], per_node: usize) -> String {
+    let mut tails: BTreeMap<NodeId, (usize, Vec<&Span>)> = BTreeMap::new();
+    for s in spans.iter().rev() {
+        let (seen, tail) = tails.entry(s.node).or_default();
+        *seen += 1;
+        if tail.len() < per_node {
+            tail.push(s);
+        }
+    }
+    let mut out = String::new();
+    for (node, (seen, tail)) in tails {
+        let _ = writeln!(out, "--- {node}: last {} of {seen} span(s) ---", tail.len());
+        for s in tail.iter().rev() {
+            let _ = writeln!(out, "  {s}");
+        }
+    }
+    out
 }
 
 struct TracerInner {
@@ -785,12 +866,7 @@ impl Tracer {
         let Some(i) = &self.inner else {
             return Vec::new();
         };
-        i.borrow()
-            .spans
-            .iter()
-            .filter(|s| s.kind.page() == Some(pid) || matches!(s.kind, SpanKind::Crash { .. }))
-            .cloned()
-            .collect()
+        lineage(&i.borrow().spans, pid).cloned().collect()
     }
 
     /// Human-readable lineage dump for `pid`, one line per span.
@@ -806,33 +882,30 @@ impl Tracer {
         out
     }
 
-    /// Passes iff the watchdog saw no violation; otherwise returns an
-    /// error message listing every violation with the offending page's
-    /// lineage slice (the last few spans up to the violation).
+    /// Passes iff the online watchdog saw no violation — including in
+    /// spans past the store's capacity; otherwise returns the message
+    /// [`check_spans`] gives, with lineage slices from the retained
+    /// spans.
     pub fn check(&self) -> std::result::Result<(), String> {
-        let violations = self.violations();
-        if violations.is_empty() {
-            return Ok(());
+        let Some(i) = &self.inner else { return Ok(()) };
+        let t = i.borrow();
+        render_violations(&t.watchdog.violations, &t.spans)
+    }
+
+    /// The post-mortem tail of the retained spans ([`render_tail`]);
+    /// `None` when tracing is off.
+    pub fn tail(&self, per_node: usize) -> Option<String> {
+        let i = self.inner.as_ref()?;
+        let t = i.borrow();
+        let mut out = render_tail(&t.spans, per_node);
+        if t.dropped > 0 {
+            let _ = writeln!(
+                out,
+                "… {} later span(s) not retained: the store was full",
+                t.dropped
+            );
         }
-        let mut msg = format!("trace watchdog: {} violation(s)\n", violations.len());
-        for v in &violations {
-            msg.push_str(&format!("- {v}\n"));
-            if let Some(pid) = v.pid {
-                let lin = self.lineage(pid);
-                // The slice that *leads to* the violation, not the
-                // whole history: everything up to the offending span,
-                // truncated to the last 12 entries.
-                let upto: Vec<&Span> = lin.iter().take_while(|s| s.id <= v.span).collect();
-                let tail = upto.len().saturating_sub(12);
-                if tail > 0 {
-                    msg.push_str(&format!("    … {tail} earlier span(s)\n"));
-                }
-                for s in &upto[tail..] {
-                    msg.push_str(&format!("    {s}\n"));
-                }
-            }
-        }
-        Err(msg)
+        Some(out)
     }
 
     /// Exports every retained span as Chrome trace-event JSON (the
@@ -925,7 +998,7 @@ impl Tracer {
 /// Like the tracer's store, the buffer is bounded: the first
 /// `capacity` spans are kept, later ones are counted in
 /// [`SpanBuf::dropped`]. Unlike the tracer there is no online
-/// watchdog — dropped spans are invisible to the post-merge check, so
+/// watchdog — dropped spans are invisible to [`check_spans`], so
 /// a nonzero drop count means reduced invariant coverage, not just a
 /// shorter export.
 #[derive(Debug, Default)]
@@ -1113,6 +1186,18 @@ mod tests {
         )
     }
 
+    /// The online tracer's verdict, asserted identical to the slice
+    /// check's over the same spans.
+    fn checked(t: &Tracer) -> std::result::Result<(), String> {
+        let online = t.check();
+        assert_eq!(
+            online,
+            check_spans(&t.spans()),
+            "online and slice checks differ"
+        );
+        online
+    }
+
     #[test]
     fn disabled_tracer_is_inert() {
         let t = Tracer::disabled();
@@ -1159,9 +1244,11 @@ mod tests {
         update(&t, 10, 0, pid(3), 1);
         update(&t, 20, 1, pid(3), 2);
         update(&t, 30, 2, pid(3), 2); // re-walks psn 2→3: violation
-        let err = t.check().unwrap_err();
+        update(&t, 40, 1, pid(4), 9); // other page: not in the slice
+        let err = checked(&t).unwrap_err();
         assert!(err.contains("not strictly increasing"), "{err}");
         assert!(err.contains("P0.3"), "lineage slice names the page: {err}");
+        assert!(!err.contains("P0.4"), "slice is page-scoped: {err}");
         assert_eq!(t.violations().len(), 1);
         assert_eq!(t.violations()[0].pid, Some(pid(3)));
     }
@@ -1178,7 +1265,9 @@ mod tests {
         );
         // Post-recovery execution legitimately re-walks lower PSNs.
         update(&t, 30, 0, pid(0), 3);
-        assert!(t.check().is_ok(), "{:?}", t.check());
+        assert!(checked(&t).is_ok(), "{:?}", t.check());
+        update(&t, 40, 0, pid(0), 3); // but not twice after one crash
+        assert!(checked(&t).is_err());
     }
 
     #[test]
@@ -1189,14 +1278,17 @@ mod tests {
             node: NodeId(node),
             from_psn: Psn(from),
             to_psn: Psn(to),
-            applied: to - from,
+            applied: to.saturating_sub(from),
         };
         t.point(10, NodeId(1), SpanId::NONE, hop(1, 4, 1));
         t.point(20, NodeId(2), SpanId::NONE, hop(4, 7, 2));
         assert!(t.check().is_ok());
         t.point(30, NodeId(1), SpanId::NONE, hop(2, 9, 1)); // restarts below 7
-        let err = t.check().unwrap_err();
+        t.point(40, NodeId(2), SpanId::NONE, hop(9, 8, 2)); // moves backwards
+        let err = checked(&t).unwrap_err();
         assert!(err.contains("replay out of global PSN order"), "{err}");
+        assert!(err.contains("replay hop moved P0.1 backwards"), "{err}");
+        assert_eq!(t.violations().len(), 2);
     }
 
     #[test]
@@ -1227,10 +1319,22 @@ mod tests {
                 carries_log: true,
             },
         );
-        let err = t.check().unwrap_err();
-        assert!(err.contains("WAL rule violated"), "{err}");
+        t.point(
+            30,
+            NodeId(0),
+            SpanId::NONE,
+            SpanKind::PageWrite {
+                pid: pid(0),
+                node: NodeId(0),
+                psn: Psn(5),
+                wal_ok: false,
+            },
+        );
+        let err = checked(&t).unwrap_err();
+        assert!(err.contains("WAL rule violated: dirty"), "{err}");
         assert!(err.contains("log records crossed the network"), "{err}");
-        assert_eq!(t.violations().len(), 2);
+        assert!(err.contains("written to disk on N0"), "{err}");
+        assert_eq!(t.violations().len(), 3);
     }
 
     #[test]
@@ -1248,7 +1352,7 @@ mod tests {
                 anchor: Lsn(100),
             },
         );
-        assert!(t.check().is_ok());
+        assert!(checked(&t).is_ok());
         // Reclaiming past it discards records the master checkpoint
         // still needs.
         t.point(
@@ -1261,9 +1365,20 @@ mod tests {
                 anchor: Lsn(100),
             },
         );
-        let err = t.check().unwrap_err();
+        t.point(
+            30,
+            NodeId(1),
+            SpanId::NONE,
+            SpanKind::LogTruncate {
+                node: NodeId(1),
+                upto: Lsn(8),
+                anchor: Lsn(0),
+            },
+        );
+        let err = checked(&t).unwrap_err();
         assert!(err.contains("log-space protocol violated"), "{err}");
-        assert!(err.contains("anchor"), "{err}");
+        assert!(err.contains("N1 reclaimed its log"), "{err}");
+        assert_eq!(t.violations().len(), 2);
     }
 
     #[test]
@@ -1301,9 +1416,45 @@ mod tests {
         }
         assert_eq!(t.len(), 2);
         assert_eq!(t.dropped(), 3);
-        // The watchdog still saw the dropped spans.
+        // The online watchdog still saw the dropped spans; a check
+        // over the retained head alone cannot.
         update(&t, 99, 0, pid(0), 2); // regression vs frontier psn 6
         assert!(t.check().is_err());
+        assert!(check_spans(&t.spans()).is_ok());
+    }
+
+    #[test]
+    fn tail_names_every_node_bounds_each_and_ends_newest() {
+        assert_eq!(Tracer::disabled().tail(4), None, "no tail with tracing off");
+        let t = Tracer::new(64);
+        for psn in 1..=5u64 {
+            update(&t, psn * 10, 0, pid(0), psn);
+        }
+        update(&t, 60, 1, pid(1), 1);
+        t.point(
+            70,
+            NodeId(2),
+            SpanId::NONE,
+            SpanKind::Crash { node: NodeId(2) },
+        );
+        let out = render_tail(&t.spans(), 2);
+        assert_eq!(t.tail(2).as_deref(), Some(out.as_str()));
+        for header in [
+            "--- N0: last 2 of 5 span(s) ---",
+            "--- N1: last 1 of 1 span(s) ---",
+            "--- N2: last 1 of 1 span(s) ---",
+        ] {
+            assert!(out.contains(header), "{header} missing: {out}");
+        }
+        let n0: Vec<&str> = out
+            .lines()
+            .skip_while(|l| !l.starts_with("--- N0"))
+            .skip(1)
+            .take_while(|l| !l.starts_with("---"))
+            .collect();
+        assert_eq!(n0.len(), 2, "at most 2 spans per node: {out}");
+        assert!(n0[0].contains("psn 4→5"), "{out}");
+        assert!(n0[1].contains("psn 5→6"), "newest span last: {out}");
     }
 
     #[test]
@@ -1424,7 +1575,7 @@ mod tests {
     fn merged_spanbuf_trace_replays_through_the_watchdog() {
         // Two workers each update their own page; the merged trace is
         // clean. A regressing PSN inside one worker's buffer must
-        // surface after the replay through a fresh Tracer.
+        // surface in the slice check of the merged trace.
         let mut a = SpanBuf::new(0, 64);
         let mut b = SpanBuf::new(1, 64);
         for (w, buf) in [(0u32, &mut a), (1u32, &mut b)] {
@@ -1448,11 +1599,7 @@ mod tests {
         }
         let mut next = 0;
         let (clean, _) = SpanBuf::merge(vec![a, b], &mut next);
-        let t = Tracer::new(clean.len() + 1);
-        for s in &clean {
-            t.emit(s.clone());
-        }
-        assert!(t.check().is_ok(), "{:?}", t.check());
+        assert_eq!(check_spans(&clean), Ok(()));
 
         let mut bad = SpanBuf::new(0, 64);
         for psn in [1u64, 2, 2] {
@@ -1474,10 +1621,9 @@ mod tests {
         }
         let mut next = 0;
         let (spans, _) = SpanBuf::merge(vec![bad], &mut next);
-        let t = Tracer::new(spans.len() + 1);
-        for s in &spans {
-            t.emit(s.clone());
-        }
-        assert!(t.check().is_err(), "PSN regression must be caught");
+        assert!(
+            check_spans(&spans).is_err(),
+            "PSN regression must be caught"
+        );
     }
 }

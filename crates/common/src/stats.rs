@@ -2,18 +2,23 @@
 //!
 //! # Thread-safe by design
 //!
-//! `Counter` (and the richer metrics in [`crate::obs`] and the ring in
-//! [`crate::trace`]) share state through `Arc<AtomicU64>` /
-//! `Arc<Mutex<_>>`, so one instrumentation layer serves both execution
-//! runtimes: the deterministic single-threaded simulator and the
-//! OS-thread-per-node runtime (`cblog-rt`), whose workers bump the same
-//! handles concurrently. Counters use relaxed atomics — each bump is a
-//! single uncontended RMW, and the only ordering the experiments need
-//! is "reads after the run observe all bumps", which thread join
-//! already provides. The one deliberately non-`Send` holdout is the
-//! span [`Tracer`](crate::Tracer): causal lineage capture assumes the
-//! simulator's deterministic single-threaded schedule, so it stays
-//! sim-only (see `common::span`).
+//! `Counter` (and the richer metrics in [`crate::obs`]) share state
+//! through `Arc<AtomicU64>` / `Arc<Mutex<_>>`, so one instrumentation
+//! layer serves both execution runtimes: the deterministic
+//! single-threaded simulator and the OS-thread-per-node runtime
+//! (`cblog-rt`), whose workers bump the same handles concurrently.
+//! Counters use relaxed atomics — each bump is a single uncontended
+//! RMW, and the only ordering the experiments need is "reads after the
+//! run observe all bumps", which thread join already provides.
+//!
+//! Counters count; they do not record *what* happened. Events are
+//! recorded once, as spans (`common::span`), the one event record both
+//! engines share. The online span [`Tracer`](crate::Tracer) is the
+//! deliberately non-`Send` holdout: causal lineage capture assumes the
+//! simulator's deterministic single-threaded schedule. Threaded
+//! workers fill `Send` [`SpanBuf`](crate::SpanBuf)s instead, and the
+//! merged trace goes through the same watchdog function
+//! ([`check_spans`](crate::span::check_spans)).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -1,29 +1,12 @@
-//! Flight recorder: a bounded per-node ring of structured trace
-//! events with sim-timestamps.
+//! Recovery phase names, shared by the recovery drivers, the phase
+//! timing reports and the recovery spans.
 //!
-//! The ring keeps the most recent `capacity` events; older events are
-//! overwritten. When an invariant or oracle check fails, the rings are
-//! dumped so recovery-protocol bugs come with the recent protocol
-//! history attached instead of just a final-state mismatch.
-//!
-//! Handles are cheap `Arc` clones sharing one `Mutex`-guarded ring, so
-//! a recorder can travel with its node into a worker thread of the
-//! threaded runtime (see `common::stats` for the thread-safety
-//! contract shared by all observability primitives).
+//! Events are recorded once, as spans (`crate::span`): a post-mortem
+//! is the tail of the span trace, and a run that had tracing off is
+//! re-run with the same seed and tracing on — tracing draws no
+//! randomness and charges no clock, so the re-run is the same run.
 
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Locks `m`, recovering from poisoning: the recorder must stay
-/// dumpable after a worker thread panics (that is exactly when the
-/// event history matters most).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-use crate::ids::{NodeId, PageId, TxnId};
-use crate::obs::Gauge;
-use crate::simclock::SimTime;
 
 /// The phases of distributed restart (paper §2.3), in execution order.
 ///
@@ -86,317 +69,5 @@ impl RecoveryPhase {
 impl fmt::Display for RecoveryPhase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// A structured event on a node's timeline.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// Transaction started.
-    TxnBegin {
-        /// The transaction.
-        txn: TxnId,
-    },
-    /// Transaction committed (after its local log force).
-    TxnCommit {
-        /// The transaction.
-        txn: TxnId,
-    },
-    /// Transaction aborted (user abort, deadlock victim, or loser).
-    TxnAbort {
-        /// The transaction.
-        txn: TxnId,
-    },
-    /// Local log forced to disk.
-    LogForce {
-        /// Bytes made durable by this force.
-        bytes: u64,
-        /// Simulated duration of the force, µs.
-        us: SimTime,
-    },
-    /// Page image moved between nodes (ship, replace, or recovery
-    /// shuttle hop).
-    PageTransfer {
-        /// The page.
-        pid: PageId,
-        /// Sending node.
-        from: NodeId,
-        /// Receiving node.
-        to: NodeId,
-    },
-    /// A lock request blocked on a conflicting holder.
-    LockWait {
-        /// The waiting transaction.
-        txn: TxnId,
-        /// The contested page.
-        pid: PageId,
-    },
-    /// A deadlock was broken by aborting `victim`.
-    Deadlock {
-        /// The aborted transaction.
-        victim: TxnId,
-    },
-    /// One log force acknowledged a batch of force-pending commits
-    /// (group commit).
-    GroupCommit {
-        /// Transactions acknowledged by this force.
-        txns: u64,
-        /// Log bytes made durable by the shared force.
-        bytes: u64,
-    },
-    /// This node crashed (volatile state lost).
-    Crash,
-    /// One recovery phase finished on this node's behalf.
-    RecoveryPhase {
-        /// The phase that completed.
-        phase: RecoveryPhase,
-        /// Simulated duration of the phase, µs.
-        us: SimTime,
-    },
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceEvent::TxnBegin { txn } => write!(f, "txn-begin {txn}"),
-            TraceEvent::TxnCommit { txn } => write!(f, "txn-commit {txn}"),
-            TraceEvent::TxnAbort { txn } => write!(f, "txn-abort {txn}"),
-            TraceEvent::LogForce { bytes, us } => write!(f, "log-force {bytes}B {us}us"),
-            TraceEvent::PageTransfer { pid, from, to } => {
-                write!(f, "page-transfer {pid} {from}->{to}")
-            }
-            TraceEvent::GroupCommit { txns, bytes } => {
-                write!(f, "group-commit {txns}txns {bytes}B")
-            }
-            TraceEvent::LockWait { txn, pid } => write!(f, "lock-wait {txn} on {pid}"),
-            TraceEvent::Deadlock { victim } => write!(f, "deadlock victim {victim}"),
-            TraceEvent::Crash => write!(f, "crash"),
-            TraceEvent::RecoveryPhase { phase, us } => {
-                write!(f, "recovery-phase {phase} {us}us")
-            }
-        }
-    }
-}
-
-/// One recorded event: global sequence number, sim-timestamp, event.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// Monotone per-recorder sequence number (never reused).
-    pub seq: u64,
-    /// Simulated time at which the event was recorded, µs.
-    pub at: SimTime,
-    /// The event.
-    pub event: TraceEvent,
-}
-
-#[derive(Debug)]
-struct RingInner {
-    cap: usize,
-    next_seq: u64,
-    buf: Vec<TraceRecord>,
-    write: usize,
-    dropped_gauge: Option<Gauge>,
-}
-
-/// Bounded ring of [`TraceRecord`]s; cheap-clone shared handle.
-#[derive(Clone, Debug)]
-pub struct FlightRecorder {
-    inner: Arc<Mutex<RingInner>>,
-}
-
-impl FlightRecorder {
-    /// New recorder keeping the most recent `capacity` events
-    /// (`capacity` is clamped to at least 1).
-    pub fn new(capacity: usize) -> Self {
-        FlightRecorder {
-            inner: Arc::new(Mutex::new(RingInner {
-                cap: capacity.max(1),
-                next_seq: 0,
-                buf: Vec::new(),
-                write: 0,
-                dropped_gauge: None,
-            })),
-        }
-    }
-
-    /// Mirrors the running drop count (events lost to ring wraparound)
-    /// into `gauge` — how a registry surfaces `trace/dropped_events`
-    /// without polling the recorder.
-    pub fn set_dropped_gauge(&self, gauge: Gauge) {
-        gauge.set(self.dropped() as i64);
-        lock(&self.inner).dropped_gauge = Some(gauge);
-    }
-
-    /// Appends an event at sim-time `at`, evicting the oldest if full.
-    pub fn record(&self, at: SimTime, event: TraceEvent) {
-        let mut r = lock(&self.inner);
-        let seq = r.next_seq;
-        r.next_seq += 1;
-        let rec = TraceRecord { seq, at, event };
-        if r.buf.len() < r.cap {
-            r.buf.push(rec);
-        } else {
-            let w = r.write;
-            r.buf[w] = rec;
-            r.write = (w + 1) % r.cap;
-            if let Some(g) = &r.dropped_gauge {
-                g.add(1);
-            }
-        }
-    }
-
-    /// Events currently retained, oldest first (sequence order is
-    /// preserved across wraparound).
-    pub fn events(&self) -> Vec<TraceRecord> {
-        let r = lock(&self.inner);
-        if r.buf.len() < r.cap {
-            r.buf.clone()
-        } else {
-            let mut out = Vec::with_capacity(r.cap);
-            out.extend_from_slice(&r.buf[r.write..]);
-            out.extend_from_slice(&r.buf[..r.write]);
-            out
-        }
-    }
-
-    /// Total events ever recorded (including overwritten ones).
-    pub fn recorded(&self) -> u64 {
-        lock(&self.inner).next_seq
-    }
-
-    /// Events lost to wraparound.
-    pub fn dropped(&self) -> u64 {
-        let r = lock(&self.inner);
-        r.next_seq - r.buf.len() as u64
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        lock(&self.inner).cap
-    }
-
-    /// Discards all retained events (sequence numbers keep counting).
-    pub fn clear(&self) {
-        let mut r = lock(&self.inner);
-        r.buf.clear();
-        r.write = 0;
-    }
-
-    /// Human-readable dump, one line per event, oldest first.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let dropped = self.dropped();
-        if dropped > 0 {
-            out.push_str(&format!("  … {dropped} older events dropped\n"));
-        }
-        for ev in self.events() {
-            out.push_str(&format!(
-                "  [{:>10}us #{:<5}] {}\n",
-                ev.at, ev.seq, ev.event
-            ));
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn txn(i: u64) -> TxnId {
-        TxnId::new(NodeId(1), i)
-    }
-
-    #[test]
-    fn retains_in_order_below_capacity() {
-        let r = FlightRecorder::new(8);
-        for i in 0..5 {
-            r.record(i * 10, TraceEvent::TxnBegin { txn: txn(i) });
-        }
-        let evs = r.events();
-        assert_eq!(evs.len(), 5);
-        assert_eq!(r.dropped(), 0);
-        for (i, e) in evs.iter().enumerate() {
-            assert_eq!(e.seq, i as u64);
-            assert_eq!(e.at, i as u64 * 10);
-        }
-    }
-
-    #[test]
-    fn wraparound_keeps_newest_in_sequence_order() {
-        let r = FlightRecorder::new(4);
-        for i in 0..10 {
-            r.record(i, TraceEvent::TxnBegin { txn: txn(i) });
-        }
-        let evs = r.events();
-        assert_eq!(evs.len(), 4);
-        assert_eq!(r.recorded(), 10);
-        assert_eq!(r.dropped(), 6);
-        let seqs: Vec<u64> = evs.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![6, 7, 8, 9], "oldest dropped, order kept");
-    }
-
-    #[test]
-    fn wraparound_order_survives_partial_laps() {
-        let r = FlightRecorder::new(3);
-        for i in 0..4 {
-            // One past capacity: write index sits mid-ring.
-            r.record(i, TraceEvent::Crash);
-        }
-        let seqs: Vec<u64> = r.events().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn clear_empties_but_keeps_counting() {
-        let r = FlightRecorder::new(4);
-        r.record(1, TraceEvent::Crash);
-        r.clear();
-        assert!(r.events().is_empty());
-        r.record(2, TraceEvent::Crash);
-        assert_eq!(r.events()[0].seq, 1, "sequence numbers continue");
-    }
-
-    #[test]
-    fn render_mentions_drops_and_events() {
-        let r = FlightRecorder::new(2);
-        for i in 0..3 {
-            r.record(i, TraceEvent::LogForce { bytes: 64, us: 5 });
-        }
-        let s = r.render();
-        assert!(s.contains("1 older events dropped"), "{s}");
-        assert!(s.contains("log-force 64B 5us"), "{s}");
-    }
-
-    #[test]
-    fn wraparound_drives_the_dropped_gauge() {
-        let r = FlightRecorder::new(3);
-        let g = Gauge::new();
-        r.set_dropped_gauge(g.clone());
-        for i in 0..3 {
-            r.record(i, TraceEvent::Crash);
-        }
-        assert_eq!(g.get(), 0, "no wraparound below capacity");
-        for i in 3..8 {
-            r.record(i, TraceEvent::Crash);
-        }
-        assert_eq!(g.get(), 5, "one gauge bump per evicted event");
-        assert_eq!(r.dropped(), 5, "gauge mirrors dropped()");
-        // Hooking up a gauge after drops happened seeds the backlog.
-        let late = Gauge::new();
-        r.set_dropped_gauge(late.clone());
-        assert_eq!(late.get(), 5);
-        r.record(8, TraceEvent::Crash);
-        assert_eq!(late.get(), 6);
-    }
-
-    #[test]
-    fn zero_capacity_clamps_to_one() {
-        let r = FlightRecorder::new(0);
-        r.record(1, TraceEvent::Crash);
-        r.record(2, TraceEvent::Crash);
-        assert_eq!(r.capacity(), 1);
-        assert_eq!(r.events().len(), 1);
-        assert_eq!(r.events()[0].seq, 1);
     }
 }

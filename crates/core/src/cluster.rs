@@ -17,7 +17,7 @@ use crate::txn::{Savepoint, TxnStatus};
 use cblog_common::metrics::{keys, prof_key};
 use cblog_common::{
     Bucket, Error, Fnv1a, Lsn, MetricValue, NodeId, PageId, Psn, Result, Rid, Sampler, SimTime,
-    Snapshot, Span, SpanCtx, SpanId, SpanKind, TraceEvent, Tracer, TransferWhy, TxnId,
+    Snapshot, Span, SpanCtx, SpanId, SpanKind, Tracer, TransferWhy, TxnId,
 };
 use cblog_locks::{
     CallbackAction, GlobalRequestOutcome, LocalRequestOutcome, LockMode, WaitsForGraph,
@@ -26,7 +26,6 @@ use cblog_net::{MsgHeader, MsgKind, Network};
 use cblog_storage::{EvictedPage, PageKind, SlottedPage};
 use cblog_wal::PageOp;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 /// Control-message payload size used for accounting.
 pub const CTRL_BYTES: usize = 48;
@@ -184,15 +183,15 @@ impl Cluster {
     /// Charges the clock for a log force if the node forced between
     /// `forces_before` and now (the force wrote `bytes` tail bytes).
     /// The force's simulated latency feeds the node's `wal/force_us`
-    /// histogram and flight recorder.
+    /// histogram.
     fn charge_force(&mut self, node: NodeId, forces_before: u64, bytes: u64) {
         if self.nodes[ix(node)].log.forces() > forces_before {
             self.net.disk_io(node, bytes as usize);
             let us = self.cfg.cost.io_cost(bytes as usize);
-            let n = &self.nodes[ix(node)];
-            n.registry.histogram(keys::WAL_FORCE_US).record(us);
-            n.recorder
-                .record(self.net.clock().now(), TraceEvent::LogForce { bytes, us });
+            self.nodes[ix(node)]
+                .registry
+                .histogram(keys::WAL_FORCE_US)
+                .record(us);
         }
     }
 
@@ -272,9 +271,6 @@ impl Cluster {
             r => r,
         };
         if let Ok(txn) = r {
-            self.nodes[ix(node)]
-                .recorder
-                .record(self.now(), TraceEvent::TxnBegin { txn });
             // 1-in-N span sampling: an unsampled transaction gets no
             // root span, so its child spans carry a NONE context and
             // drop at emission. Cluster-wide invariant spans (updates,
@@ -633,9 +629,6 @@ impl Cluster {
         let acked = self.schedulers[n].drain_acked(flushed);
         for t in &acked {
             self.nodes[n].finish_commit(*t)?;
-            self.nodes[n]
-                .recorder
-                .record(self.now(), TraceEvent::TxnCommit { txn: *t });
             self.close_txn_span(*t, true);
         }
         Ok(acked.len())
@@ -670,10 +663,6 @@ impl Cluster {
             for _ in 0..batch {
                 nd.registry.histogram(keys::WAL_COMMIT_FORCE_US).record(us);
             }
-            nd.recorder.record(
-                self.net.clock().now(),
-                TraceEvent::GroupCommit { txns: batch, bytes },
-            );
         }
         self.tracer.point(
             self.now(),
@@ -718,9 +707,6 @@ impl Cluster {
         self.nodes[n].start_abort(txn)?;
         self.drive_rollback(txn, Lsn::ZERO)?;
         self.nodes[n].finish_abort(txn)?;
-        self.nodes[n]
-            .recorder
-            .record(self.now(), TraceEvent::TxnAbort { txn });
         self.close_txn_span(txn, false);
         // A waiter that dies waiting (deadlock victim) still spent its
         // time queueing — fold it into the same wait histogram the
@@ -809,15 +795,14 @@ impl Cluster {
     }
 
     /// Finds a deadlock victim, if a cycle exists. Detection is
-    /// counted on the victim's node (`locks/deadlocks`) and noted in
-    /// its flight recorder — both use interior mutability, so `&self`
-    /// suffices.
+    /// counted on the victim's node (`locks/deadlocks`) — the registry
+    /// uses interior mutability, so `&self` suffices.
     pub fn find_deadlock_victim(&self) -> Option<TxnId> {
         let victim = self.wfg.find_victim()?;
-        let n = &self.nodes[ix(victim.node)];
-        n.registry.counter(keys::LOCKS_DEADLOCKS).bump();
-        n.recorder
-            .record(self.now(), TraceEvent::Deadlock { victim });
+        self.nodes[ix(victim.node)]
+            .registry
+            .counter(keys::LOCKS_DEADLOCKS)
+            .bump();
         Some(victim)
     }
 
@@ -830,8 +815,7 @@ impl Cluster {
     /// `locks/*` metrics: a grant bumps `locks/acquisitions` (and, if
     /// the transaction had been blocked, records the full blocked span
     /// in the `locks/wait_us` histogram); a conflict bumps
-    /// `locks/waits` and leaves a [`TraceEvent::LockWait`] in the
-    /// flight recorder.
+    /// `locks/waits`.
     pub fn ensure_access(&mut self, txn: TxnId, pid: PageId, mode: LockMode) -> Result<()> {
         let r = self.ensure_access_inner(txn, pid, mode);
         let reg = &self.nodes[ix(txn.node)].registry;
@@ -849,9 +833,6 @@ impl Cluster {
                 reg.counter(keys::LOCKS_WAITS).bump();
                 let now = self.net.clock().now();
                 self.wait_since.entry(txn).or_insert(now);
-                self.nodes[ix(txn.node)]
-                    .recorder
-                    .record(now, TraceEvent::LockWait { txn, pid });
             }
             Err(_) => {}
         }
@@ -1065,14 +1046,6 @@ impl Cluster {
                 self.page_bytes(),
                 MsgHeader::of(SpanCtx::child(xfer, ctx.span)),
             )?;
-            self.nodes[v].recorder.record(
-                self.net.clock().now(),
-                TraceEvent::PageTransfer {
-                    pid,
-                    from: victim,
-                    to: owner,
-                },
-            );
             let ev = self.nodes[ix(owner)].receive_replaced(victim, copy)?;
             if let Some(ev) = ev {
                 self.route_eviction(owner, ev)?;
@@ -1127,14 +1100,6 @@ impl Cluster {
                 self.page_bytes(),
                 MsgHeader::of(SpanCtx::root(xfer)),
             )?;
-            self.nodes[ix(node)].recorder.record(
-                self.net.clock().now(),
-                TraceEvent::PageTransfer {
-                    pid,
-                    from: owner,
-                    to: node,
-                },
-            );
         }
         let ev = self.nodes[ix(node)].cache_page(page, false)?;
         if let Some(ev) = ev {
@@ -1195,14 +1160,6 @@ impl Cluster {
                 self.page_bytes(),
                 MsgHeader::of(SpanCtx::root(xfer)),
             )?;
-            self.nodes[ix(node)].recorder.record(
-                self.net.clock().now(),
-                TraceEvent::PageTransfer {
-                    pid,
-                    from: node,
-                    to: owner,
-                },
-            );
             let ev2 = self.nodes[ix(owner)].receive_replaced(node, ev.page)?;
             if let Some(ev2) = ev2 {
                 self.route_eviction(owner, ev2)?;
@@ -1451,9 +1408,6 @@ impl Cluster {
     }
 
     fn crash_inner(&mut self, node: NodeId, tear: Option<(u64, bool)>) {
-        self.nodes[ix(node)]
-            .recorder
-            .record(self.now(), TraceEvent::Crash);
         // The crash span doubles as a watchdog epoch marker: unforced
         // PSNs above the durable coverage died with the volatile state
         // and will legitimately be re-walked after recovery.
@@ -1564,17 +1518,6 @@ impl Cluster {
     pub fn sampler(&self) -> Option<&Sampler> {
         self.sampler.as_ref()
     }
-
-    /// Renders every node's flight-recorder ring, oldest event first —
-    /// the post-mortem dump printed when an oracle check fails.
-    pub fn flight_dump(&self) -> String {
-        let mut out = String::new();
-        for node in &self.nodes {
-            let _ = writeln!(out, "--- flight recorder {} ---", node.id());
-            out.push_str(&node.recorder().render());
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -1582,17 +1525,21 @@ mod tests {
     use super::*;
     use cblog_common::CostModel;
 
+    fn config(owned: Vec<u32>) -> crate::ClusterConfigBuilder {
+        ClusterConfig::builder()
+            .owned_pages(owned)
+            .page_size(512)
+            .buffer_frames(8)
+            .default_owned_pages(0)
+            .cost(CostModel::unit())
+    }
+
     fn cluster(owned: Vec<u32>) -> Cluster {
-        Cluster::new(
-            ClusterConfig::builder()
-                .owned_pages(owned)
-                .page_size(512)
-                .buffer_frames(8)
-                .default_owned_pages(0)
-                .cost(CostModel::unit())
-                .build(),
-        )
-        .unwrap()
+        Cluster::new(config(owned).build()).unwrap()
+    }
+
+    fn traced_cluster(owned: Vec<u32>) -> Cluster {
+        Cluster::new(config(owned).tracing(true).build()).unwrap()
     }
 
     fn pid(owner: u32, idx: u32) -> PageId {
@@ -2030,7 +1977,7 @@ mod tests {
 
     #[test]
     fn flight_recorder_traces_txn_lifecycle_and_transfers() {
-        let mut c = cluster(vec![4, 0, 0]);
+        let mut c = traced_cluster(vec![4, 0, 0]);
         let p = pid(0, 0);
         let t1 = c.begin(NodeId(1)).unwrap();
         c.write_u64(t1, p, 0, 1).unwrap();
@@ -2043,36 +1990,67 @@ mod tests {
         c.commit(t1).unwrap();
         assert_eq!(c.read_u64(t2, p, 0).unwrap(), 1);
         c.commit(t2).unwrap();
-        let n1 = c.node(NodeId(1)).recorder().render();
-        assert!(n1.contains("txn-begin"), "missing begin: {n1}");
-        assert!(n1.contains("txn-commit"), "missing commit: {n1}");
-        assert!(n1.contains("log-force"), "missing force: {n1}");
-        let n2 = c.node(NodeId(2)).recorder().render();
-        assert!(n2.contains("lock-wait"), "missing wait: {n2}");
-        assert!(n2.contains("page-transfer"), "missing transfer: {n2}");
-        // Waiting was measured on node 2 once the lock was granted.
+        // Begin → commit is one Txn span per transaction, its commit
+        // force a GroupForce span; page moves are Transfer spans.
+        let spans = c.tracer().spans();
+        for t in [t1, t2] {
+            assert!(
+                spans.iter().any(|s| s.kind
+                    == SpanKind::Txn {
+                        txn: t,
+                        committed: true
+                    }),
+                "missing txn span for {t}"
+            );
+        }
+        assert!(spans.iter().any(|s| matches!(
+            s.kind,
+            SpanKind::GroupForce { node, .. } if node == NodeId(1)
+        )));
+        assert!(spans.iter().any(|s| matches!(
+            s.kind,
+            SpanKind::Transfer { pid, to, .. } if pid == p && to == NodeId(2)
+        )));
+        // Forces and lock waits are counted by the registry; waiting
+        // was measured on node 2 once the lock was granted.
         let snap = c.metrics_snapshot();
+        assert!(snap.counter("n1/wal/forces") >= 1);
         assert!(snap.counter("n2/locks/waits") >= 1);
         let w = snap.histogram("n2/locks/wait_us").expect("wait histogram");
         assert_eq!(w.count, 1);
-        // The combined dump names every node.
-        let dump = c.flight_dump();
-        assert!(dump.contains("--- flight recorder N0 ---"));
-        assert!(dump.contains("--- flight recorder N2 ---"));
+        // The post-mortem tail names every node that emitted spans.
+        let tail = c.tracer().tail(4).expect("tracing is on");
+        assert!(tail.contains("--- N0: "), "{tail}");
+        assert!(tail.contains("--- N1: "), "{tail}");
+        assert!(tail.contains("--- N2: "), "{tail}");
+        assert_eq!(cluster(vec![4]).tracer().tail(4), None);
     }
 
     #[test]
     fn crash_event_survives_in_recorder_and_registry_persists() {
-        let mut c = cluster(vec![4, 0]);
+        let mut c = traced_cluster(vec![4, 0]);
         let t = c.begin(NodeId(0)).unwrap();
         c.write_u64(t, pid(0, 0), 0, 7).unwrap();
         c.commit(t).unwrap();
         c.crash(NodeId(0));
         // Observability state is not volatile: the crash itself and
         // the pre-crash history remain visible.
-        let r = c.node(NodeId(0)).recorder().render();
-        assert!(r.contains("crash"));
-        assert!(r.contains("txn-commit"));
+        let spans = c.tracer().spans();
+        let crash = spans
+            .iter()
+            .position(|s| s.kind == SpanKind::Crash { node: NodeId(0) })
+            .expect("crash span");
+        let commit = spans
+            .iter()
+            .position(|s| {
+                s.kind
+                    == SpanKind::Txn {
+                        txn: t,
+                        committed: true,
+                    }
+            })
+            .expect("txn span");
+        assert!(commit < crash);
         assert_eq!(c.metrics_snapshot().counter("n0/txn/commits"), 1);
     }
 
@@ -2101,11 +2079,6 @@ mod tests {
         assert!(victim == t1 || victim == t2);
         let vkey = format!("n{}/locks/deadlocks", victim.node.0);
         assert_eq!(c.metrics_snapshot().counter(&vkey), 1);
-        assert!(c
-            .node(victim.node)
-            .recorder()
-            .render()
-            .contains("deadlock victim"));
         c.abort(victim).unwrap();
         // Survivor can finish.
         let survivor = if victim == t1 { t2 } else { t1 };

@@ -29,7 +29,7 @@ use crate::node::{NodePsnEntry, RollbackStep};
 use crate::runtime::Runtime;
 use cblog_common::{
     metrics::keys, Bucket, Error, Lsn, NodeId, PageId, Psn, RecoveryPhase, Result, SimTime, Span,
-    SpanCtx, SpanId, SpanKind, TraceEvent, TransferWhy, TxnId,
+    SpanCtx, SpanId, SpanKind, TransferWhy, TxnId,
 };
 use cblog_locks::LockMode;
 use cblog_net::{MsgHeader, MsgKind};
@@ -311,9 +311,9 @@ impl PhaseTimings {
 }
 
 /// Closes the current recovery phase: accounts the sim-time spent
-/// since `t0` under `phase`, stamps a [`TraceEvent::RecoveryPhase`]
-/// into every recovering node's flight recorder, and fires the
-/// injected crash point if the options ask for one after this phase.
+/// since `t0` under `phase`, emits a [`SpanKind::Phase`] span per
+/// recovering node, and fires the injected crash point if the options
+/// ask for one after this phase.
 fn end_phase(
     cluster: &mut Cluster,
     crashed: &[NodeId],
@@ -329,10 +329,6 @@ fn end_phase(
     *t0 = now;
     out.record(phase, us);
     for &c in crashed {
-        cluster
-            .node(c)
-            .recorder()
-            .record(now, TraceEvent::RecoveryPhase { phase, us });
         let id = cluster.tracer().alloc();
         if !id.is_none() {
             cluster.tracer().emit(Span {
@@ -570,15 +566,6 @@ fn lpt_makespan(durs: &[SimTime], workers: usize) -> SimTime {
 /// (`cblog_rt::ThreadCluster`).
 pub fn recover<R: Runtime + ?Sized>(rt: &mut R, opts: &RecoveryOptions) -> Result<RecoveryReport> {
     rt.recover(opts)
-}
-
-/// The old `Cluster`-only entry point, kept for one release.
-#[deprecated(
-    since = "0.8.0",
-    note = "use the runtime-generic `recover(&mut impl Runtime, &RecoveryOptions)`"
-)]
-pub fn recover_cluster(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<RecoveryReport> {
-    recover_sim(cluster, opts)
 }
 
 /// The simulator's recovery implementation, reached through

@@ -457,7 +457,7 @@ fn recover_and_check(cfg: &Config, b: &Branch, bu: &mut Built) -> Result<(), Str
     recovery::recover(&mut bu.c, &base_opts()).map_err(|e| format!("recovery failed: {e}"))?;
     // Check 1: no in-flight loser write survives recovery. (Runs
     // before the oracle pass so the common loser-resurface violation
-    // fails on a one-line error instead of a flight-recorder dump.)
+    // fails on a one-line error instead of a post-mortem span tail.)
     let reader = NodeId(cfg.nodes - 1);
     let t = bu.c.begin(reader).map_err(|e| sim_err("check begin", e))?;
     for (pos, &v) in b.victims.iter().enumerate() {
@@ -485,7 +485,7 @@ fn recover_and_check(cfg: &Config, b: &Branch, bu: &mut Built) -> Result<(), Str
     bu.c.commit(t).map_err(|e| sim_err("check commit", e))?;
     // Check 2: every acked commit is durable and reads back exactly.
     // Quiet variant: the shrinker re-runs failing branches many times,
-    // and a flight-recorder dump per run would swamp the output.
+    // and a span-tail post-mortem per run would swamp the output.
     bu.oracle
         .verify_quiet(&mut bu.c, reader)
         .map_err(|e| format!("oracle: {e}"))?;

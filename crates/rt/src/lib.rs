@@ -49,11 +49,13 @@
 //!
 //! * **Send-safe tracing** — each worker fills a private [`SpanBuf`]
 //!   with the sim tracer's span vocabulary; the buffers are merged
-//!   deterministically at join and the merged trace is replayed
-//!   through a fresh [`Tracer`], so the protocol watchdog checks
-//!   PSN-order, the WAL rule, and no-log-on-the-wire on real
-//!   executions too (including parallel replay). `run` and `recover`
-//!   fail with [`Error::Protocol`] on any violation.
+//!   deterministically at join into one trace, and the watchdog
+//!   function the simulator's tracer uses ([`check_spans`]) checks
+//!   PSN-order, the WAL rule, and no-log-on-the-wire on it (including
+//!   parallel replay). `run` and `recover` fail with
+//!   [`Error::Protocol`] on any violation. Spans are the one event
+//!   record: there is no separate event ring, and a post-mortem of an
+//!   untraced run means re-running it with tracing on.
 //! * **Per-thread profiler** — each worker attributes its wall time
 //!   to the shared [`Bucket`] taxonomy with the simulator's exact
 //!   partition invariant (`disk + cpu + net + replay == busy`); the
@@ -65,11 +67,12 @@
 //!   rather than bucket upper bounds.
 
 use cblog_common::metrics::{keys, prof_key};
+use cblog_common::span::check_spans;
 use cblog_common::{
     Bucket, Error, Histogram, Lsn, MetricValue, NodeId, PageId, Psn, RecoveryPhase, Reservoir,
-    Result, SimTime, Snapshot, Span, SpanBuf, SpanCtx, SpanId, SpanKind, Tracer, TransferWhy,
-    TxnId,
+    Result, SimTime, Snapshot, Span, SpanBuf, SpanCtx, SpanId, SpanKind, TransferWhy, TxnId,
 };
+use cblog_core::node::RollbackStep;
 use cblog_core::{
     plan_replay, ForceScheduler, GroupCommitPolicy, Node, NodeConfig, NodePsnEntry, PhaseTimings,
     PlanOp, RecoveryOptions, RecoveryReport, RunReport, Runtime, TxnPlan, WaveTiming,
@@ -335,22 +338,14 @@ impl ThreadCluster {
         id
     }
 
-    /// Replays the merged trace through a fresh single-threaded
-    /// [`Tracer`], so the simulator's protocol watchdog checks the
-    /// same invariants on real threaded executions it checks on
-    /// simulated ones: per-page PSN order (updates and replay hops),
-    /// the WAL rule on page ships and owned writes, and
+    /// Runs the protocol watchdog ([`check_spans`]) over the merged
+    /// trace, so real threaded executions are checked for the same
+    /// invariants as simulated ones: per-page PSN order (updates and
+    /// replay hops), the WAL rule on page ships and owned writes, and
     /// no-log-on-the-wire. `run` and `recover` call this at join when
     /// tracing is on; tests may call it after [`Self::inject_span`].
     pub fn trace_check(&self) -> Result<()> {
-        if self.trace.is_empty() {
-            return Ok(());
-        }
-        let tracer = Tracer::new(self.trace.len() + 1);
-        for s in &self.trace {
-            tracer.emit(s.clone());
-        }
-        tracer.check().map_err(Error::Protocol)
+        check_spans(&self.trace).map_err(Error::Protocol)
     }
 
     /// Emits a point span from the coordinating thread (ids continue
@@ -549,11 +544,24 @@ impl Runtime for ThreadCluster {
     /// enforces the same per-page PSN-order invariant on real parallel
     /// replay that the simulator's tracer enforces on simulated
     /// recovery.
+    ///
+    /// Standby recovery and injected crash points are simulator-only
+    /// options; asking for either is [`Error::Invalid`], and so is
+    /// recovering a node that is not crashed ([`Error::Protocol`]).
     fn recover(&mut self, opts: &RecoveryOptions) -> Result<RecoveryReport> {
+        if opts.standby().is_some() || opts.crash_after_phase().is_some() {
+            return Err(Error::Invalid(
+                "the threaded engine supports neither standby recovery nor injected crash points"
+                    .into(),
+            ));
+        }
         let crashed = opts.recovered_nodes().to_vec();
         for &c in &crashed {
             if c.0 as usize >= self.nodes.len() {
                 return Err(Error::Invalid(format!("recovery of unknown node {c}")));
+            }
+            if !self.nodes[c.0 as usize].is_crashed() {
+                return Err(Error::Protocol(format!("{c} is not crashed")));
             }
         }
         let workers = opts.replay_mode().workers();
@@ -727,18 +735,7 @@ impl Runtime for ThreadCluster {
         // ---- Undo losers locally (CLRs), then checkpoint. ----
         for (c, txns) in losers {
             for txn in txns {
-                let node = self.node_mut(c)?;
-                node.start_abort(txn)?;
-                loop {
-                    match node.rollback_step(txn, Lsn::ZERO)? {
-                        cblog_core::node::RollbackStep::Done => break,
-                        cblog_core::node::RollbackStep::Undone(_) => {}
-                        cblog_core::node::RollbackStep::NeedPage(pid) => {
-                            ensure_cached(node, pid)?;
-                        }
-                    }
-                }
-                node.finish_abort(txn)?;
+                roll_back(self.node_mut(c)?, txn)?;
                 report.losers_undone += 1;
             }
         }
@@ -952,8 +949,9 @@ impl Prof {
 struct Lane {
     plans: Vec<TxnPlan>,
     next: usize,
-    /// Parked commit: (txn, submit time, lock token).
-    waiting: Option<(TxnId, SimTime, u64)>,
+    /// Parked commit: (txn, submit time). Its locks were released at
+    /// `commit_begin`.
+    waiting: Option<(TxnId, SimTime)>,
     retries: usize,
 }
 
@@ -1030,7 +1028,6 @@ fn run_worker(
                 &mut node,
                 &mut sched,
                 &mut lanes,
-                &locks,
                 &clock,
                 &latency,
                 &samples,
@@ -1066,7 +1063,7 @@ fn run_worker(
             )?);
             match outcome {
                 TxnOutcome::Committing(txn, at) => {
-                    lanes[li].waiting = Some((txn, at, token_of(txn)));
+                    lanes[li].waiting = Some((txn, at));
                     lanes[li].retries = 0;
                 }
                 TxnOutcome::Done => {
@@ -1096,7 +1093,6 @@ fn run_worker(
                     &mut node,
                     &mut sched,
                     &mut lanes,
-                    &locks,
                     &clock,
                     &latency,
                     &samples,
@@ -1127,7 +1123,6 @@ fn run_worker(
                     &mut node,
                     &mut sched,
                     &mut lanes,
-                    &locks,
                     &clock,
                     &latency,
                     &samples,
@@ -1222,13 +1217,13 @@ fn run_txn(
             PlanOp::Write { pid, .. } => (pid, LockMode::Exclusive),
         };
         if mode == LockMode::Exclusive && pid.owner != me {
-            abort_txn(node, ep, locks, txn, token)?;
+            abort_txn(node, locks, txn, token)?;
             return Err(Error::Protocol(format!(
                 "{me} plan writes remote page {pid}: the threaded runtime only writes owned pages"
             )));
         }
         if !acquire(node, ep, locks, pid, token, mode, clock, prof, buf)? {
-            abort_txn(node, ep, locks, txn, token)?;
+            abort_txn(node, locks, txn, token)?;
             report.forced_aborts += 1;
             end_txn_span(buf, span, me, t_start, clock.now_us(), txn, false);
             return Ok(TxnOutcome::Retry);
@@ -1279,7 +1274,7 @@ fn run_txn(
         report.ops_executed += 1;
     }
     if plan.abort {
-        abort_txn(node, ep, locks, txn, token)?;
+        abort_txn(node, locks, txn, token)?;
         report.user_aborts += 1;
         end_txn_span(buf, span, me, t_start, clock.now_us(), txn, false);
         return Ok(TxnOutcome::Done);
@@ -1306,7 +1301,6 @@ fn flush(
     node: &mut Node,
     sched: &mut ForceScheduler,
     lanes: &mut [Lane],
-    locks: &ShardedLockTable,
     clock: &WallClock,
     latency: &Histogram,
     samples: &Reservoir,
@@ -1328,14 +1322,11 @@ fn flush(
         acked += 1;
         let now = clock.now_us();
         for lane in lanes.iter_mut() {
-            if let Some((w, at, token)) = lane.waiting {
+            if let Some((w, at)) = lane.waiting {
                 if w == txn {
                     let d = now.saturating_sub(at);
                     latency.record(d);
                     samples.record(d);
-                    // Locks were released at commit_begin; the token is
-                    // kept only for debugging, clear defensively.
-                    locks.release_all(token);
                     lane.waiting = None;
                     lane.next += 1;
                     break;
@@ -1397,26 +1388,25 @@ fn acquire(
     Ok(won)
 }
 
-fn abort_txn(
-    node: &mut Node,
-    _ep: &ChannelEndpoint,
-    locks: &ShardedLockTable,
-    txn: TxnId,
-    token: u64,
-) -> Result<()> {
+fn abort_txn(node: &mut Node, locks: &ShardedLockTable, txn: TxnId, token: u64) -> Result<()> {
+    roll_back(node, txn)?;
+    locks.release_all(token);
+    Ok(())
+}
+
+/// Rolls `txn` back completely (CLRs for every update) and writes its
+/// Abort record. Both a live abort and recovery's Undo of a loser run
+/// it; the pages it touches are owned, so they come from local disk.
+fn roll_back(node: &mut Node, txn: TxnId) -> Result<()> {
     node.start_abort(txn)?;
     loop {
         match node.rollback_step(txn, Lsn::ZERO)? {
-            cblog_core::node::RollbackStep::Done => break,
-            cblog_core::node::RollbackStep::Undone(_) => {}
-            cblog_core::node::RollbackStep::NeedPage(pid) => {
-                ensure_cached(node, pid)?;
-            }
+            RollbackStep::Done => break,
+            RollbackStep::Undone(_) => {}
+            RollbackStep::NeedPage(pid) => ensure_cached(node, pid)?,
         }
     }
-    node.finish_abort(txn)?;
-    locks.release_all(token);
-    Ok(())
+    node.finish_abort(txn)
 }
 
 /// Brings an owned page into the buffer (from disk if necessary). The
@@ -1737,6 +1727,7 @@ mod tests {
         let report = tc.run(&plans).unwrap();
         assert_eq!(report.committed, 0);
         assert_eq!(report.user_aborts, 1);
+        assert_eq!(tc.locks.locked_pages(), 0, "abort released its locks");
         let page = Page::from_bytes(tc.page_image(pid(0, 1)).unwrap()).unwrap();
         assert_eq!(page.read_slot(0).unwrap(), 5, "abort undone");
     }
@@ -1800,5 +1791,10 @@ mod tests {
         );
         let snap = tc.latency().snapshot();
         assert_eq!(snap.count, 16, "every commit's latency was recorded");
+        assert_eq!(
+            tc.locks.locked_pages(),
+            0,
+            "parked commits hold no locks past commit_begin"
+        );
     }
 }

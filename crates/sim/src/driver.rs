@@ -60,9 +60,10 @@ pub trait System {
     /// series resolution follows the sim-clock rather than workload
     /// phase boundaries. Systems without telemetry do nothing.
     fn sample_telemetry(&mut self) {}
-    /// Post-mortem flight-recorder dump, if the system keeps one.
-    /// Printed by the oracle when verification finds a divergence.
-    fn flight_dump(&self) -> Option<String> {
+    /// Post-mortem: the last spans of every node, if the system traced
+    /// the run. Printed by the oracle when verification finds a
+    /// divergence; `None` makes the oracle's error say how to get one.
+    fn trace_tail(&self) -> Option<String> {
         None
     }
     /// Runs the system's online invariant watchdog over every span it
@@ -112,6 +113,9 @@ macro_rules! impl_system {
     };
 }
 
+/// Spans per node in the post-mortem tail the oracle prints.
+const POST_MORTEM_SPANS_PER_NODE: usize = 32;
+
 // note_queue_wait stays the default no-op for the cluster — it folds
 // driver retry spans into locks/wait_us via its own wait tracking.
 impl_system!(
@@ -128,8 +132,8 @@ impl_system!(
     fn sample_telemetry(&mut self) {
         cblog_core::Cluster::sample_telemetry(self)
     },
-    fn flight_dump(&self) -> Option<String> {
-        Some(cblog_core::Cluster::flight_dump(self))
+    fn trace_tail(&self) -> Option<String> {
+        self.tracer().tail(POST_MORTEM_SPANS_PER_NODE)
     },
     fn trace_check(&self) -> Result<()> {
         cblog_core::Cluster::trace_check(self)

@@ -72,7 +72,7 @@ impl Oracle {
         self.verify_impl(sys, reader, true)
     }
 
-    /// [`Oracle::verify`] without the flight-recorder dump on
+    /// [`Oracle::verify`] without the post-mortem span tail on
     /// mismatch. The model checker runs thousands of expected-to-fail
     /// verifications while shrinking a counterexample; the one-line
     /// error is the useful part there, and the dump would multiply it
@@ -105,18 +105,27 @@ impl Oracle {
             };
             sys.commit(txn)?;
             if got != want {
-                // Divergence: dump the flight recorders before failing,
-                // so the event history around the corruption is not
-                // lost with the process.
+                let mut msg = format!(
+                    "oracle mismatch at {pid} slot {slot}: database {got}, expected {want}"
+                );
+                // Divergence: print each node's last spans before
+                // failing, so the history around the corruption is not
+                // lost with the process. Without a trace, say how to
+                // get one: tracing draws no randomness and charges no
+                // clock, so a traced re-run of the seed is the same run.
                 if dump_on_mismatch {
-                    if let Some(dump) = sys.flight_dump() {
-                        eprintln!("oracle mismatch at {pid} slot {slot}; flight recorders:");
-                        eprint!("{dump}");
+                    match sys.trace_tail() {
+                        Some(tail) => {
+                            eprintln!("{msg}; last spans per node:");
+                            eprint!("{tail}");
+                        }
+                        None => msg.push_str(
+                            " (no span trace: re-run the same seed with .tracing(true) \
+                             for each node's last spans)",
+                        ),
                     }
                 }
-                return Err(cblog_common::Error::Protocol(format!(
-                    "oracle mismatch at {pid} slot {slot}: database {got}, expected {want}"
-                )));
+                return Err(cblog_common::Error::Protocol(msg));
             }
             checked += 1;
         }
@@ -141,6 +150,24 @@ mod tests {
         assert_eq!(o.expect(p, 0), Some(10));
         assert_eq!(o.expect(p, 1), None);
         assert_eq!(o.len(), 1);
+    }
+
+    #[test]
+    fn untraced_mismatch_says_how_to_get_a_post_mortem() {
+        for tracing in [false, true] {
+            let cfg = cblog_core::ClusterConfig::builder()
+                .owned_pages(vec![2])
+                .tracing(tracing)
+                .build();
+            let mut c = cblog_core::Cluster::new(cfg).unwrap();
+            // The oracle expects a write the database never saw.
+            let mut o = Oracle::new();
+            o.stage(1, PageId::new(NodeId(0), 0), 0, 5);
+            o.commit(1);
+            let err = o.verify(&mut c, NodeId(0)).unwrap_err().to_string();
+            assert!(err.contains("oracle mismatch"), "{err}");
+            assert_eq!(err.contains(".tracing(true)"), !tracing, "{err}");
+        }
     }
 
     #[test]
